@@ -7,7 +7,8 @@ packed into a single integer (28 bits per variable, offset so that negative
 exponents pack monotonically), which makes monomial multiplication a single
 integer addition and makes the canonical term order (lexicographic on the
 fixed variable order q, t, u, x1.., y1.., exponents compared high-to-low)
-plain integer comparison of keys.
+plain integer comparison of keys.  The constructors reject an exponent
+outside [-2^27, 2^27) rather than let it spill into the next field.
 
 Fractions carry their denominator as a multiset of polynomial factors and
 are never reduced to lowest terms.  Equality is decided by
@@ -110,8 +111,13 @@ class VarUniverse:
 
     def _check_exps(self, exps):
         for e, lau, nm in zip(exps, self._laurent, self.names):
+            if not e:  # most exponents are zero; keep their cost to one test
+                continue
             if e < 0 and not lau:
                 raise ValueError("negative exponent on %s is not allowed" % nm)
+            if not -_B <= e < _B:
+                raise ValueError("exponent %d on %s overflows its %d-bit packed field"
+                                 % (e, nm, _W))
 
     # -- constructors ------------------------------------------------------
 
@@ -163,9 +169,9 @@ def universe_of_names(names) -> VarUniverse:
     return cand
 
 
-def _chk(a: "MPoly", b: "MPoly"):
-    if a.u != b.u:
-        raise UniverseMismatch("%r vs %r" % (a.u, b.u))
+def _chk_u(a: VarUniverse, b: VarUniverse):
+    if a != b:
+        raise UniverseMismatch("%r vs %r" % (a, b))
 
 
 class MPoly:
@@ -221,7 +227,7 @@ class MPoly:
     def __add__(self, other):
         if isinstance(other, int):
             other = self.u.const(other)
-        _chk(self, other)
+        _chk_u(self.u, other.u)
         a, b = self.terms, other.terms
         if len(a) < len(b):
             a, b = b, a
@@ -257,7 +263,7 @@ class MPoly:
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
-        _chk(self, other)
+        _chk_u(self.u, other.u)
         a, b = self.terms, other.terms
         if not a or not b:
             return self.u.zero()
@@ -523,11 +529,6 @@ def mp_sum(u: VarUniverse, polys) -> MPoly:
     return MPoly(u, out)
 
 
-def _chk_u(a: VarUniverse, b: VarUniverse):
-    if a != b:
-        raise UniverseMismatch("%r vs %r" % (a, b))
-
-
 def mp_prod(u: VarUniverse, polys) -> MPoly:
     out = u.one()
     for p in polys:
@@ -535,6 +536,12 @@ def mp_prod(u: VarUniverse, polys) -> MPoly:
         if not out:
             return out
     return out
+
+
+def cauchy_kernel(u: VarUniverse) -> MPoly:
+    """The dual Cauchy kernel prod_{i,j} (1 + x_i y_j) over every x and y of u."""
+    return mp_prod(u, (u.one() + u.x(i) * u.y(j)
+                       for i in range(1, u.n_x + 1) for j in range(1, u.n_y + 1)))
 
 
 # -- q-shifted factorials -----------------------------------------------------
@@ -565,7 +572,7 @@ def try_div(num: MPoly, den: MPoly):
     (the overwhelmingly common case here: Pochhammer binomials, Vandermonde
     differences) take dedicated linear-time paths.
     """
-    _chk(num, den)
+    _chk_u(num.u, den.u)
     if den.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if num.is_zero():
@@ -743,7 +750,7 @@ class Frac:
     @classmethod
     def over(cls, num: MPoly, den: MPoly) -> "Frac":
         """num/den with the denominator as a single factor."""
-        _chk(num, den)
+        _chk_u(num.u, den.u)
         if den.is_one():
             return cls(num)
         return cls(num, {den: 1})
@@ -956,7 +963,3 @@ def frac_sum(u: VarUniverse, terms) -> Frac:
         items.append((s, union))
     num, bag = items[0]
     return Frac(num, bag)
-
-
-def frac_eq(a: Frac, b: Frac) -> bool:
-    return a.eq(b)

@@ -10,40 +10,28 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import macdonald as mac
 from . import qbinomial as qb
 from . import raising as rs
 from . import serialize as ser
-from .partitions import parse_partition, partitions_of
-from .suites import build_suite, default_threads, run_cases
+from .partitions import mi_weight, parse_partition, partitions_of
+from .suites import build_suite, run_cases
 
 DESK_N, DESK_M, DESK_WEIGHT = 4, 4, 5
 
 
-@dataclass
-class RunConfig:
-    """Resolved limits and output options for one CLI invocation."""
+def check_limits(*, n=None, m=None, max_weight=None, unsafe=False):
+    """Refuse sizes beyond desk scale unless --unsafe-limits was given.
 
-    n: int | None = None
-    m: int | None = None
-    max_weight: int | None = None
-    fmt: str = "text"
-    suite: str = "all"
-    seed: int | None = None
-    out: str | None = None
-    unsafe: bool = False
-
-    def check_limits(self):
-        if self.unsafe:
-            return
-        if self.n is not None and self.n > DESK_N:
-            raise ValueError("n > %d needs --unsafe-limits" % DESK_N)
-        if self.m is not None and self.m > DESK_M:
-            raise ValueError("m > %d needs --unsafe-limits" % DESK_M)
-        if self.max_weight is not None and self.max_weight > DESK_WEIGHT:
-            raise ValueError("max weight > %d needs --unsafe-limits" % DESK_WEIGHT)
+    Raises ValueError, which main turns into exit code 2.
+    """
+    if unsafe:
+        return
+    for value, cap, label in ((n, DESK_N, "n"), (m, DESK_M, "m"),
+                              (max_weight, DESK_WEIGHT, "max weight")):
+        if value is not None and value > cap:
+            raise ValueError("%s > %d needs --unsafe-limits" % (label, cap))
 
 
 def _parse_mi(s: str) -> tuple:
@@ -56,8 +44,7 @@ def _out_stream(path):
 
 def cmd_poly(args) -> int:
     lam = parse_partition(args.lam)
-    cfg = RunConfig(n=args.n, max_weight=lam.weight(), unsafe=args.unsafe_limits)
-    cfg.check_limits()
+    check_limits(n=args.n, max_weight=lam.weight(), unsafe=args.unsafe_limits)
     if lam.length() > args.n:
         print("error: partition %r needs more than %d variables" % (lam, args.n),
               file=sys.stderr)
@@ -75,8 +62,7 @@ def cmd_poly(args) -> int:
 
 
 def cmd_operator(args) -> int:
-    cfg = RunConfig(n=args.n, m=args.m, unsafe=args.unsafe_limits)
-    cfg.check_limits()
+    check_limits(n=args.n, m=args.m, unsafe=args.unsafe_limits)
     op = rs.row_raising_op(args.m, args.n)
     if args.format == "json":
         sys.stdout.write(ser.dumps(ser.op_to_obj(op, args.m)))
@@ -86,14 +72,21 @@ def cmd_operator(args) -> int:
     return 0
 
 
+# name -> (required options, check); a check takes the parsed options (multi-
+# indices as tuples) and returns a difference that must vanish, or a bool
 _IDENTITIES = {
-    "qbinom": ("alpha",),
-    "chu": ("alpha", "k"),
-    "chu2": ("alpha", "beta", "k"),
-    "interp": ("gamma", "alpha"),
-    "product-rule": ("alpha", "gamma", "beta"),
-    "keyid": ("m", "n"),
+    "qbinom": (("alpha",), lambda p: qb.qbinom_theorem_diff(p["alpha"])),
+    "chu": (("alpha", "k"), lambda p: qb.chu_vandermonde_diff(p["alpha"], p["k"])),
+    "chu2": (("alpha", "beta", "k"),
+             lambda p: qb.chu_vandermonde2_diff(p["alpha"], p["beta"], p["k"])),
+    "interp": (("gamma", "alpha"),
+               lambda p: qb.interp_product_check(p["gamma"], p["alpha"])),
+    "product-rule": (("alpha", "gamma", "beta"),
+                     lambda p: qb.qbinom_product_rule_diff(p["alpha"], p["gamma"],
+                                                           p["beta"])),
+    "keyid": (("m", "n"), lambda p: rs.key_identity_diff(p["m"], p["n"])),
 }
+_MULTI_INDEX_OPTIONS = ("alpha", "beta", "gamma")
 
 
 def cmd_identity(args) -> int:
@@ -102,56 +95,43 @@ def cmd_identity(args) -> int:
         print("error: unknown identity %r (choose from %s)"
               % (name, ", ".join(sorted(_IDENTITIES))), file=sys.stderr)
         return 2
-    need = _IDENTITIES[name]
+    need, check = _IDENTITIES[name]
     params = {}
     for p in need:
-        v = getattr(args, p if p != "lambda" else "lam", None)
+        v = getattr(args, p)
         if v is None:
             print("error: identity %s needs --%s" % (name, p), file=sys.stderr)
             return 2
         params[p] = v
-    if name == "qbinom":
-        diff = qb.qbinom_theorem_diff(_parse_mi(params["alpha"]))
-    elif name == "chu":
-        diff = qb.chu_vandermonde_diff(_parse_mi(params["alpha"]), params["k"])
-    elif name == "chu2":
-        diff = qb.chu_vandermonde2_diff(_parse_mi(params["alpha"]),
-                                        _parse_mi(params["beta"]), params["k"])
-    elif name == "interp":
-        diff = qb.interp_product_eval(_parse_mi(params["gamma"]), _parse_mi(params["alpha"]))
-        ok = diff.is_zero() == (not all(
-            x >= y for x, y in zip(_parse_mi(params["gamma"]),
-                                   _parse_mi(params["alpha"]))))
-        rec = {"identity": name, "params": params, "pass": bool(ok)}
-        print(json.dumps(rec, sort_keys=True))
-        return 0 if ok else 1
-    elif name == "product-rule":
-        diff = qb.qbinom_product_rule_diff(_parse_mi(params["alpha"]),
-                                           _parse_mi(params["gamma"]),
-                                           _parse_mi(params["beta"]))
+    parsed = {p: _parse_mi(v) if p in _MULTI_INDEX_OPTIONS else v
+              for p, v in params.items()}
+    mis = [v for p, v in parsed.items() if p in _MULTI_INDEX_OPTIONS]
+    if mis:
+        # --k only matters up to the weight, so it is held to the same cap
+        check_limits(n=max(len(a) for a in mis),
+                     max_weight=max([mi_weight(a) for a in mis] + [parsed.get("k", 0)]),
+                     unsafe=args.unsafe_limits)
     else:
-        diff = rs.key_identity_diff(params["m"], params["n"])
-    ok = diff.is_zero()
+        check_limits(m=parsed["m"], n=parsed["n"], unsafe=args.unsafe_limits)
+    result = check(parsed)
+    ok = result if isinstance(result, bool) else result.is_zero()
     rec = {"identity": name, "params": params, "pass": bool(ok)}
-    if not ok:
-        rec["detail"] = ser.diff_text(diff)
+    if not isinstance(result, bool) and not ok:
+        rec["detail"] = ser.diff_text(result)
     print(json.dumps(rec, sort_keys=True))
     return 0 if ok else 1
 
 
 def cmd_verify(args) -> int:
-    cfg = RunConfig(n=args.n, m=args.m, max_weight=args.max_weight,
-                    suite=args.suite, seed=args.seed, out=args.out,
-                    unsafe=args.unsafe_limits)
-    cfg.check_limits()
+    check_limits(n=args.n, m=args.m, max_weight=args.max_weight,
+                 unsafe=args.unsafe_limits)
     try:
         cases = build_suite(args.suite, max_n=args.n, max_m=args.m,
                             max_weight=args.max_weight)
     except KeyError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    reports, ok = run_cases(cases, threads=default_threads(),
-                            shuffle_seed=args.seed)
+    reports, ok = run_cases(cases, shuffle_seed=args.seed)
     stream = _out_stream(args.out)
     try:
         for rec in reports:
@@ -213,24 +193,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Macdonald polynomials, row raising operators, "
                     "and q-binomial identity verification.")
     sub = ap.add_subparsers(dest="command", required=True)
+    limits = argparse.ArgumentParser(add_help=False)
+    limits.add_argument("--unsafe-limits", action="store_true",
+                        help="allow n > %d, m > %d or weight > %d"
+                             % (DESK_N, DESK_M, DESK_WEIGHT))
 
-    p = sub.add_parser("poly", help="print P or J in the monomial basis")
+    p = sub.add_parser("poly", parents=[limits],
+                       help="print P or J in the monomial basis")
     p.add_argument("kind", choices=("P", "J"))
     p.add_argument("--lambda", dest="lam", required=True,
                    help="comma-joined partition; '' or '0' for empty")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--unsafe-limits", action="store_true")
     p.set_defaults(fn=cmd_poly)
 
-    p = sub.add_parser("operator", help="print the raising operator B_m")
+    p = sub.add_parser("operator", parents=[limits],
+                       help="print the raising operator B_m")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--unsafe-limits", action="store_true")
     p.set_defaults(fn=cmd_operator)
 
-    p = sub.add_parser("identity", help="run one identity check, JSON report")
+    p = sub.add_parser("identity", parents=[limits],
+                       help="run one identity check, JSON report")
     p.add_argument("--name", required=True,
                    help="|".join(sorted(_IDENTITIES)))
     p.add_argument("--alpha")
@@ -241,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.set_defaults(fn=cmd_identity)
 
-    p = sub.add_parser("verify", help="run an identity suite, JSON-lines report")
+    p = sub.add_parser("verify", parents=[limits],
+                       help="run an identity suite, JSON-lines report")
     p.add_argument("--suite", default="all",
                    help="raising|qbinom|chu|keyid|oracles|cauchy|hl|all")
     p.add_argument("--n", type=int, default=None, help="cap on variable count")
@@ -250,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="shuffle execution order (math stays exact)")
     p.add_argument("--out", default=None, help="write the report here")
-    p.add_argument("--unsafe-limits", action="store_true")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("golden", help="write or byte-check the golden tables")

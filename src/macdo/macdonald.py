@@ -11,12 +11,11 @@ in Z[q,t] by exact division.
 from __future__ import annotations
 
 import itertools
-import threading
 
-from .algebra import (Frac, MPoly, VarUniverse, as_frac, frac_sum, mp_prod,
-                      mp_sum, universe)
-from .partitions import (Partition, dominance_downset, mi_weight,
-                         partitions_in_box)
+from .algebra import (Frac, MPoly, VarUniverse, as_frac, cauchy_kernel,
+                      frac_sum, mp_prod, mp_sum, universe)
+from .partitions import (Partition, dominance_downset, memo_per_partition,
+                         mi_weight, partitions_in_box)
 
 
 class QDiffOp:
@@ -270,23 +269,14 @@ def eigenvalue_u(u: VarUniverse, lam: Partition) -> MPoly:
                        for i, m in enumerate(lam.padded(n), start=1)))
 
 
-_p_cache: dict = {}
-_p_lock = threading.Lock()
-
-
+@memo_per_partition
 def macdonald_p(lam: Partition, n: int) -> SymPoly:
     """Monic Macdonald polynomial P_lam in n variables.
 
     Dominance-triangular solve of the D_1 eigenproblem in the monomial
     basis; coefficients are fractions in (q,t).  Memoized per (lam, n);
-    the cached object is immutable and safe to share across threads.
+    the cached object is immutable.
     """
-    lam = Partition(lam)
-    key = (lam, n)
-    with _p_lock:
-        got = _p_cache.get(key)
-    if got is not None:
-        return got
     if lam.length() > n:
         raise ValueError("P_%r needs at least %d variables" % (lam, lam.length()))
     u = universe(n)
@@ -316,10 +306,7 @@ def macdonald_p(lam: Partition, n: int) -> SymPoly:
         if not c.is_zero():
             coeffs[nu] = c
     value = frac_sum(u, [c * monomial_symmetric(u, mu) for mu, c in coeffs.items()])
-    out = SymPoly(n, coeffs, value)
-    with _p_lock:
-        _p_cache.setdefault(key, out)
-    return out
+    return SymPoly(n, coeffs, value)
 
 
 def integral_form_scalar(u: VarUniverse, lam: Partition) -> MPoly:
@@ -328,22 +315,14 @@ def integral_form_scalar(u: VarUniverse, lam: Partition) -> MPoly:
                        for a, l in (lam.arm_leg(s) for s in lam.cells())))
 
 
-_j_cache: dict = {}
-_j_lock = threading.Lock()
-
-
+@memo_per_partition
 def macdonald_j(lam: Partition, n: int) -> SymPoly:
     """Integral form J_lam = c_lam * P_lam with certified Z[q,t] coefficients.
 
     Raises NotDivisible if any monomial-basis coefficient fails the
-    integrality certificate (which would mean an upstream bug).
+    integrality certificate (which would mean an upstream bug).  Memoized
+    per (lam, n).
     """
-    lam = Partition(lam)
-    key = (lam, n)
-    with _j_lock:
-        got = _j_cache.get(key)
-    if got is not None:
-        return got
     u = universe(n)
     p = macdonald_p(lam, n)
     c_lam = integral_form_scalar(u, lam)
@@ -354,10 +333,7 @@ def macdonald_j(lam: Partition, n: int) -> SymPoly:
         expansion[mu] = Frac(cj)
         parts.append(cj * monomial_symmetric(u, mu))
     value = Frac(mp_sum(u, parts))
-    out = SymPoly(n, expansion, value)
-    with _j_lock:
-        _j_cache.setdefault(key, out)
-    return out
+    return SymPoly(n, expansion, value)
 
 
 # -- identity checks -----------------------------------------------------------
@@ -395,8 +371,7 @@ def cauchy_diff(n: int, m: int) -> Frac:
     P_lam(x;q,t) P_lam'(y;t,q).
     """
     u = universe(n, m)
-    lhs = mp_prod(u, (u.one() + u.x(i) * u.y(j)
-                      for i in range(1, n + 1) for j in range(1, m + 1)))
+    lhs = cauchy_kernel(u)
     terms = []
     for lam in partitions_in_box(n, m):
         px = macdonald_p(lam, n).value.convert(u)

@@ -8,6 +8,7 @@ immutable (a tuple subclass) with trailing zeros stripped on construction.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache, wraps
 from math import comb
 
 
@@ -95,6 +96,21 @@ def parse_partition(s: str) -> Partition:
     if s in ("", "0"):
         return Partition()
     return Partition(int(p) for p in s.split(","))
+
+
+def memo_per_partition(fn):
+    """Memoize fn(lam, n) per (Partition(lam), n) for the life of the process.
+
+    The partition is normalized before the lookup, so a list, a tuple and a
+    Partition with the same parts share one entry.
+    """
+    cached = lru_cache(maxsize=None)(fn)
+
+    @wraps(fn)
+    def memo(lam, n):
+        return cached(Partition(lam), n)
+
+    return memo
 
 
 def partitions_of(d: int, max_len: int | None = None, max_part: int | None = None):

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .algebra import (Frac, MPoly, VarUniverse, frac_sum, mp_prod, qpoch,
-                      qpoch_factors, universe)
+from .algebra import (Frac, MPoly, VarUniverse, cauchy_kernel, frac_sum, mp_prod,
+                      qpoch, qpoch_factors, universe)
 from .partitions import box_below, mi_leq, mi_sub, mi_weight, weak_compositions
 
 
@@ -112,15 +112,23 @@ def interp_product_eval(gamma: tuple, alpha: tuple) -> Frac:
         raise ValueError("gamma and alpha must have the same length")
     n, m = len(gamma), mi_weight(alpha)
     uxy = universe(n, m)
-    prod = mp_prod(uxy, (uxy.one() + uxy.mono(1, {"q": gamma[i - 1],
-                                                  "x%d" % i: 1, "y%d" % j: 1})
-                         for i in range(1, n + 1) for j in range(1, m + 1)))
+    prod = cauchy_kernel(uxy).qshift(gamma)
     direct = prod.subs_monomials(interp_assignment(uxy, alpha))
     ux = universe(n)
     closed = interp_product_closed(ux, gamma, alpha)
     if direct.convert(ux) != closed:
         raise AssertionError("interpolation evaluation disagrees with closed form")
     return Frac(closed)
+
+
+def interp_product_check(gamma: tuple, alpha: tuple) -> bool:
+    """The product at p_alpha vanishes exactly when gamma >= alpha fails.
+
+    interp_product_eval already raises if direct substitution and the closed
+    form disagree; this adds the vanishing rule on top.
+    """
+    vanishes = interp_product_eval(gamma, alpha).is_zero()
+    return vanishes == (not mi_leq(alpha, gamma))
 
 
 # -- identity suite ----------------------------------------------------------------

@@ -12,15 +12,15 @@ certifies the image polynomial by exact division before comparing.
 
 from __future__ import annotations
 
-import threading
+from functools import lru_cache
 from math import comb
 
-from .algebra import (Frac, MPoly, NotDivisible, VarUniverse, frac_sum,
-                      mp_prod, qpoch_factors, universe)
+from .algebra import (Frac, MPoly, NotDivisible, VarUniverse, cauchy_kernel,
+                      frac_sum, mp_prod, qpoch_factors, universe)
 from .macdonald import (QDiffOp, macdonald_d, macdonald_j, macdonald_p,
                         x_transposition_rename)
-from .partitions import (Partition, box_below, mi_leq, mi_weight,
-                         multi_indices_upto, weak_compositions)
+from .partitions import (Partition, box_below, memo_per_partition, mi_leq,
+                         mi_weight, multi_indices_upto, weak_compositions)
 from .qbinomial import _ratio_base, interp_assignment, qbinom_x
 
 
@@ -197,9 +197,8 @@ def block_coeff_interp(u: VarUniverse, m: int, alpha: tuple) -> Frac:
     if mi_weight(alpha) != m:
         raise ValueError("alpha must have weight m")
     uxy = universe(n, m)
-    kern = mp_prod(uxy, (uxy.one() + uxy.x(i) * uxy.y(j)
-                         for i in range(1, n + 1) for j in range(1, m + 1)))
-    img = macdonald_d(uxy, block="y", swapped=True, with_u=False).apply(kern)
+    img = macdonald_d(uxy, block="y", swapped=True, with_u=False).apply(
+        cauchy_kernel(uxy))
     assign = interp_assignment(uxy, alpha)
     at_p = img.subs_monomials(assign)
     # 1/(y1...ym) at p_alpha: invert the product of the coordinates
@@ -221,21 +220,13 @@ def block_coeff_interp(u: VarUniverse, m: int, alpha: tuple) -> Frac:
 # -- assembly and verification ------------------------------------------------------
 
 
-_b_cache: dict = {}
-_b_lock = threading.Lock()
-
-
+@lru_cache(maxsize=None)
 def row_raising_op(m: int, n: int) -> QDiffOp:
     """The raising operator B_m on n variables, in the shift basis T^gamma.
 
     Expands sum_alpha b_alpha phi_alpha and combines coefficients; memoized
-    per (m, n) and safe to share across threads.
+    per (m, n).
     """
-    key = (m, n)
-    with _b_lock:
-        got = _b_cache.get(key)
-    if got is not None:
-        return got
     u = universe(n)
     acc: dict = {}
     for alpha in weak_compositions(m, n):
@@ -247,10 +238,7 @@ def row_raising_op(m: int, n: int) -> QDiffOp:
         c = frac_sum(u, parts).shrink()
         if not c.is_zero():
             coeffs[beta] = c
-    op = QDiffOp(u, coeffs)
-    with _b_lock:
-        _b_cache.setdefault(key, op)
-    return op
+    return QDiffOp(u, coeffs)
 
 
 def convert_op(op: QDiffOp, target: VarUniverse) -> QDiffOp:
@@ -305,18 +293,15 @@ def iterated_build_check(lam, n: int) -> bool:
 def raising_on_kernel(m: int, n: int) -> Frac:
     """B_m acting in x on the Cauchy kernel prod (1+x_i y_j), as a fraction."""
     uxy = universe(n, m)
-    kern = mp_prod(uxy, (uxy.one() + uxy.x(i) * uxy.y(j)
-                         for i in range(1, n + 1) for j in range(1, m + 1)))
-    return convert_op(row_raising_op(m, n), uxy).apply(kern)
+    return convert_op(row_raising_op(m, n), uxy).apply(cauchy_kernel(uxy))
 
 
 def key_identity_diff(m: int, n: int) -> Frac:
     """Difference of B_x prod(1+x_i y_j) and (1/(y1..ym)) D_y(1;t,q) of it."""
     uxy = universe(n, m)
-    kern = mp_prod(uxy, (uxy.one() + uxy.x(i) * uxy.y(j)
-                         for i in range(1, n + 1) for j in range(1, m + 1)))
-    lhs = convert_op(row_raising_op(m, n), uxy).apply(kern)
-    img = macdonald_d(uxy, block="y", swapped=True, with_u=False).apply(kern)
+    lhs = raising_on_kernel(m, n)
+    img = macdonald_d(uxy, block="y", swapped=True, with_u=False).apply(
+        cauchy_kernel(uxy))
     rhs = Frac(img.num.laurent_shift({"y%d" % j: -1 for j in range(1, m + 1)}),
                img.bag)
     return lhs - rhs
@@ -401,22 +386,10 @@ def _q_slice(p: MPoly, e: int) -> MPoly:
     return MPoly(u, out)
 
 
-_hl_cache: dict = {}
-_hl_lock = threading.Lock()
-
-
+@memo_per_partition
 def hall_littlewood_p(lam, n: int) -> MPoly:
-    """P_lam(x; 0, t): the q -> 0 specialization, certified in Z[t]."""
-    lam = Partition(lam)
-    key = (lam, n)
-    with _hl_lock:
-        got = _hl_cache.get(key)
-    if got is not None:
-        return got
-    out = limit_q0(macdonald_p(lam, n).value).as_poly()
-    with _hl_lock:
-        _hl_cache.setdefault(key, out)
-    return out
+    """P_lam(x; 0, t): the q -> 0 specialization, certified in Z[t]; memoized."""
+    return limit_q0(macdonald_p(lam, n).value).as_poly()
 
 
 def hall_littlewood_apply(m: int, f: MPoly) -> Frac:

@@ -9,10 +9,8 @@ scale; wider grids need the CLI's unsafe-limits override.
 from __future__ import annotations
 
 import inspect
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import macdonald as mac
@@ -51,11 +49,17 @@ def _bool_case(suite, name, params, check_fn):
 # -- suite builders -----------------------------------------------------------
 
 
-def suite_raising(max_m: int = 3, max_n: int = 3, max_weight: int = 4) -> list:
-    """Raising property, iterated build, equivariance and order bound."""
+def suite_raising(max_m: int | None = None, max_n: int = 3, max_weight: int = 4) -> list:
+    """Raising property, iterated build, equivariance and order bound.
+
+    Without ``max_m`` the operator grid stops at m = 3 and the iterated
+    build takes every lambda within the weight bound; an explicit ``max_m``
+    also caps lambda_1, so no B_m beyond it is ever built.
+    """
+    grid_m = 3 if max_m is None else max_m
     cases = []
     for n in range(1, max_n + 1):
-        for m in range(max_m + 1):
+        for m in range(grid_m + 1):
             for d in range(max_weight + 1):
                 for lam in partitions_of(d, max_len=n, max_part=m):
                     cases.append(_diff_case(
@@ -65,13 +69,13 @@ def suite_raising(max_m: int = 3, max_n: int = 3, max_weight: int = 4) -> list:
                         lambda m=m, lam=lam, n=n: rs.raising_diff(m, lam, n)))
     for n in range(1, max_n + 1):
         for d in range(max_weight + 1):
-            for lam in partitions_of(d, max_len=n):
+            for lam in partitions_of(d, max_len=n, max_part=max_m):
                 cases.append(_diff_case(
                     "raising", "iterated_build",
                     {"lambda": lam.to_string(), "n": n},
                     lambda lam=lam, n=n: rs.iterated_build_diff(lam, n)))
     for n in range(1, max_n + 1):
-        for m in range(max_m + 1):
+        for m in range(grid_m + 1):
             cases.append(_bool_case(
                 "raising", "equivariance", {"m": m, "n": n},
                 lambda m=m, n=n: rs.equivariance_check(rs.row_raising_op(m, n))))
@@ -102,12 +106,6 @@ def suite_qbinom(max_weight: int = 4, max_n: int = 3) -> list:
         cases.append(_diff_case("qbinom", "classical_qbinom_theorem", {"l": l},
                                 lambda l=l: classical(l)))
 
-    def interp_consistent(g, a):
-        # interp_product_eval raises if direct substitution and closed form split;
-        # on top of that the value must vanish exactly when not g >= a
-        vanishes = qb.interp_product_eval(g, a).is_zero()
-        return vanishes == (not all(x >= y for x, y in zip(g, a)))
-
     for n in range(1, max_n + 1):
         for dg in range(4):
             for da in range(4):
@@ -116,7 +114,7 @@ def suite_qbinom(max_weight: int = 4, max_n: int = 3) -> list:
                         cases.append(_bool_case(
                             "qbinom", "interp_product",
                             {"gamma": list(gamma), "alpha": list(alpha)},
-                            lambda g=gamma, a=alpha: interp_consistent(g, a)))
+                            lambda g=gamma, a=alpha: qb.interp_product_check(g, a)))
     return cases
 
 
@@ -183,14 +181,18 @@ def suite_oracles(max_m: int = 3, max_n: int = 3) -> list:
     return cases
 
 
-def suite_keyid(pairs=((1, 1), (1, 2), (2, 1), (2, 2), (0, 1), (0, 2),
-                       (2, 3), (3, 2))) -> list:
+KEYID_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2), (0, 1), (0, 2), (2, 3), (3, 2))
+
+
+def suite_keyid(max_m: int = 3, max_n: int = 3) -> list:
     """Kernel identity and the y-degree bound, n,m <= 2 plus spot cases.
 
-    Pairs are (m, n).
+    Runs the (m, n) pairs of KEYID_PAIRS with m <= max_m and n <= max_n.
     """
     cases = []
-    for m, n in pairs:
+    for m, n in KEYID_PAIRS:
+        if m > max_m or n > max_n:
+            continue
         cases.append(_diff_case("keyid", "key_identity", {"m": m, "n": n},
                                 lambda m=m, n=n: rs.key_identity_diff(m, n)))
         cases.append(_bool_case("keyid", "degree_bound", {"m": m, "n": n},
@@ -279,42 +281,30 @@ def build_suite(name: str, **limits) -> list:
     return builder(**kw)
 
 
-def default_threads() -> int:
-    raw = os.environ.get("MACDO_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def run_cases(cases, threads: int | None = None, shuffle_seed: int | None = None):
-    """Run cases, deterministically ordered output regardless of scheduling.
+def run_cases(cases, threads: int = 1, shuffle_seed: int | None = None):
+    """Run cases one after another; reports come back in case order.
 
     Returns (reports, all_passed); reports are dicts ready for JSON lines.
-    The optional seed shuffles execution order only.
+    The optional seed shuffles execution order only.  Every case runs in
+    the calling thread, so each ``ms`` is that case's own wall time.
+    ``threads`` stays only for callers that pass ``threads=1``, such as
+    ``bench/worker.py``; any other value raises ValueError.
     """
-    threads = default_threads() if threads is None else max(1, threads)
+    if threads != 1:
+        raise ValueError("run_cases runs one case at a time; threads must be 1")
     order = list(range(len(cases)))
     if shuffle_seed is not None:
         random.Random(shuffle_seed).shuffle(order)
     results = [None] * len(cases)
-
-    def exec_one(idx):
+    for idx in order:
         case = cases[idx]
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             ok, detail = case.run()
         except Exception as exc:  # a crash is a failed case, not a crashed suite
             ok, detail = False, "error: %s" % (exc,)
         results[idx] = {"suite": case.suite, "case": case.name,
                         "params": case.params, "pass": bool(ok),
-                        "ms": int((time.time() - t0) * 1000),
+                        "ms": int((time.perf_counter() - t0) * 1000),
                         **({"detail": detail} if detail else {})}
-
-    if threads == 1:
-        for idx in order:
-            exec_one(idx)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(exec_one, order))
     return results, all(r["pass"] for r in results)

@@ -93,6 +93,23 @@ def test_eval_partial_untouched_without_assignment():
     assert f.eval_partial({"y1": Frac.over(-ONE, X1)}).eq(Frac(f))
 
 
+def test_packed_exponent_range_is_enforced():
+    u = universe(2)
+    for e in (2 ** 27 - 1, -2 ** 27):
+        (key,) = u.mono(1, {"q": e}).terms
+        assert u.unpack(key)[u.pos("q")] == e
+        assert poly_from_obj(poly_to_obj(u.mono(1, {"q": e}))) == u.mono(1, {"q": e})
+    for e in (2 ** 27, -2 ** 27 - 1):
+        with pytest.raises(ValueError):
+            u.mono(1, {"q": e})
+        obj = poly_to_obj(u.one())
+        obj["terms"][0]["e"][u.pos("q")] = e
+        with pytest.raises(ValueError):
+            poly_from_obj(obj)
+    with pytest.raises(ValueError):
+        u.mono(1, {"t": 2 ** 27})
+
+
 def test_frac_eval_partial():
     u = universe(1, 1)
     fr = Frac.over(u.one() + u.x(1) * u.y(1), u.y(1))

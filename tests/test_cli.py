@@ -87,6 +87,28 @@ def test_identity_keyid(capsys):
     assert json.loads(out)["pass"] is True
 
 
+def test_identity_obeys_desk_limits(capsys):
+    code, _, err = run_cli(capsys, "identity", "--name", "keyid",
+                           "--m", "5", "--n", "2")
+    assert code == 2 and "unsafe-limits" in err
+    code, _, err = run_cli(capsys, "identity", "--name", "qbinom", "--alpha", "6")
+    assert code == 2 and "unsafe-limits" in err
+    code, _, err = run_cli(capsys, "identity", "--name", "chu",
+                           "--alpha", "1,1", "--k", "9")
+    assert code == 2 and "unsafe-limits" in err
+    code, out, _ = run_cli(capsys, "identity", "--name", "qbinom", "--alpha", "6",
+                           "--unsafe-limits")
+    assert code == 0 and json.loads(out)["pass"] is True
+
+
+def test_identity_interp_report(capsys):
+    code, out, _ = run_cli(capsys, "identity", "--name", "interp",
+                           "--gamma", "0,1", "--alpha", "1,0")
+    assert code == 0
+    assert json.loads(out) == {"identity": "interp", "pass": True,
+                               "params": {"gamma": "0,1", "alpha": "1,0"}}
+
+
 def test_verify_suite_reports_and_exit(capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "qbinom",
                              "--max-weight", "2", "--n", "2")

@@ -1,4 +1,4 @@
-"""Suite runner: determinism, worker pool, report structure."""
+"""Suite runner: determinism, limits, report structure."""
 
 import pytest
 
@@ -20,13 +20,37 @@ def test_reports_are_ordered_and_complete():
         assert rec["pass"] is True
 
 
-def test_worker_pool_and_shuffle_leave_output_identical():
+def test_shuffle_leaves_output_identical():
     cases = build_suite("qbinom", max_weight=2, max_n=2)
-    base, _ = run_cases(cases, threads=1)
-    pooled, _ = run_cases(cases, threads=3)
-    shuffled, _ = run_cases(cases, threads=3, shuffle_seed=1234)
-    assert _strip_ms(pooled) == _strip_ms(base)
+    base, _ = run_cases(cases)
+    shuffled, _ = run_cases(cases, shuffle_seed=1234)
     assert _strip_ms(shuffled) == _strip_ms(base)
+
+
+def test_run_cases_accepts_only_one_thread():
+    cases = build_suite("qbinom", max_weight=1, max_n=1)
+    assert run_cases(cases, threads=1)[1]
+    with pytest.raises(ValueError):
+        run_cases(cases, threads=2)
+
+
+def test_explicit_max_m_caps_the_iterated_build():
+    default = build_suite("raising")
+    built = [c for c in default if c.name == "iterated_build"]
+    assert len(default) == 100 and len(built) == 25
+    assert {c.params["n"] for c in built if c.params["lambda"] == "4"} == {1, 2, 3}
+    capped = build_suite("raising", max_m=2)
+    firsts = {int(c.params["lambda"].split(",")[0] or 0)
+              for c in capped if c.name == "iterated_build"}
+    assert firsts == {0, 1, 2}
+    assert max(c.params.get("m", 0) for c in capped) == 2
+
+
+def test_keyid_pairs_obey_the_limits():
+    assert len(build_suite("keyid")) == 16
+    narrow = build_suite("keyid", max_n=1)
+    assert narrow and {c.params["n"] for c in narrow} == {1}
+    assert {c.params["m"] for c in build_suite("keyid", max_m=0)} == {0}
 
 
 def test_build_suite_all_concatenates():
