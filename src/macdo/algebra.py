@@ -19,8 +19,8 @@ point.
 Negative exponents are legal for q and the x variables only; building a
 value with a negative exponent on t, u or y through the public constructors
 raises.  The one sanctioned exception is :meth:`MPoly.laurent_shift`, used
-to divide by the monomial y1*...*ym transiently inside the dual-lowering
-check.
+to divide by the monomial y1*...*ym transiently inside
+:func:`macdonald.dual_lowering`.
 """
 
 from __future__ import annotations
@@ -49,20 +49,15 @@ class VarUniverse:
     variables may carry negative (Laurent) exponents, the others may not.
     """
 
-    __slots__ = ("names", "n_x", "n_y", "has_q", "has_t", "has_u",
-                 "nvars", "_pos", "_shift", "_laurent", "one_key", "_x0", "_y0")
+    __slots__ = ("names", "n_x", "n_y", "nvars", "_pos", "_shift", "_laurent",
+                 "one_key", "_x0", "_y0")
 
-    def __init__(self, n_x: int, n_y: int = 0, q: bool = True, t: bool = True,
-                 u: bool = False):
+    def __init__(self, n_x: int, n_y: int = 0, u: bool = False):
         if n_x < 1:
             raise ValueError("need at least one x variable")
         if n_y < 0:
             raise ValueError("n_y must be >= 0")
-        names = []
-        if q:
-            names.append("q")
-        if t:
-            names.append("t")
+        names = ["q", "t"]
         if u:
             names.append("u")
         self._x0 = len(names)
@@ -71,7 +66,6 @@ class VarUniverse:
         names += ["y%d" % j for j in range(1, n_y + 1)]
         self.names = tuple(names)
         self.n_x, self.n_y = n_x, n_y
-        self.has_q, self.has_t, self.has_u = q, t, u
         self.nvars = len(names)
         self._pos = {nm: i for i, nm in enumerate(names)}
         # q sits in the most significant field so that integer comparison of
@@ -151,19 +145,17 @@ class VarUniverse:
 
 
 @lru_cache(maxsize=None)
-def universe(n_x: int, n_y: int = 0, q: bool = True, t: bool = True,
-             u: bool = False) -> VarUniverse:
+def universe(n_x: int, n_y: int = 0, u: bool = False) -> VarUniverse:
     """Interned universe factory; always prefer this over VarUniverse()."""
-    return VarUniverse(n_x, n_y, q, t, u)
+    return VarUniverse(n_x, n_y, u)
 
 
 def universe_of_names(names) -> VarUniverse:
     """Rebuild the interned universe matching a serialized variable list."""
     names = tuple(names)
-    q, t, u = "q" in names, "t" in names, "u" in names
     n_x = sum(1 for nm in names if nm.startswith("x"))
     n_y = sum(1 for nm in names if nm.startswith("y"))
-    cand = universe(n_x, n_y, q, t, u)
+    cand = universe(n_x, n_y, "u" in names)
     if cand.names != names:
         raise ValueError("variable list %r is not in canonical order" % (names,))
     return cand
@@ -218,9 +210,6 @@ class MPoly:
 
     def __repr__(self):
         return "MPoly(%s)" % self.text()
-
-    def n_terms(self) -> int:
-        return len(self.terms)
 
     # -- ring operations ----------------------------------------------------
 
@@ -351,8 +340,8 @@ class MPoly:
     def laurent_shift(self, deltas: dict) -> "MPoly":
         """Add a fixed offset to the exponents of given variables.
 
-        Bypasses the Laurent legality check on purpose: the dual-lowering
-        check divides by y1*...*ym and re-enters the legal range afterwards.
+        Bypasses the Laurent legality check on purpose: dual_lowering
+        divides by y1*...*ym and re-enters the legal range afterwards.
         """
         u = self.u
         off = sum(d << u._shift[u.pos(nm)] for nm, d in deltas.items())
@@ -389,32 +378,6 @@ class MPoly:
             else:
                 del out[nk]
         return MPoly(u, out)
-
-    def eval_partial(self, assign: dict) -> "Frac":
-        """Substitute Frac values for some variables; exact, returns a Frac."""
-        u = self.u
-        names = sorted(assign)
-        vals = [as_frac(u, assign[nm]) for nm in names]
-        shifts = [u._shift[u.pos(nm)] for nm in names]
-        clear = sum(_MASK << s for s in shifts)
-        groups = {}
-        for k, c in self.terms.items():
-            sig = tuple(((k >> s) & _MASK) - _B for s in shifts)
-            rk = (k & ~clear) | sum(_B << s for s in shifts)
-            g = groups.setdefault(sig, {})
-            nc = g.get(rk, 0) + c
-            if nc:
-                g[rk] = nc
-            else:
-                del g[rk]
-        total = Frac(u.zero())
-        for sig, terms in groups.items():
-            part = Frac(MPoly(u, terms))
-            for v, e in zip(vals, sig):
-                if e:
-                    part = part * (v ** e)
-            total = total + part
-        return total
 
     def convert(self, target: VarUniverse, rename: dict | None = None) -> "MPoly":
         """Re-express this polynomial in another universe, optionally renaming.
@@ -820,26 +783,6 @@ class Frac:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
-        if e >= 0:
-            out = Frac(self.u.one())
-            for _ in range(e):
-                out = out * self
-            return out
-        return self.inverse() ** (-e)
-
-    def inverse(self) -> "Frac":
-        if self.num.is_zero():
-            raise ZeroDivisionError("inverting the zero fraction")
-        num = self.den
-        if self.num.is_one():
-            return Frac(num)
-        return Frac(num, {self.num: 1})
-
-    def __truediv__(self, other):
-        other = as_frac(self.u, other)
-        return self * other.inverse()
-
     # -- comparison and certification -------------------------------------------
 
     def eq(self, other) -> bool:
@@ -909,16 +852,6 @@ class Frac:
 
     def subs_monomials(self, assign: dict) -> "Frac":
         return self._map(lambda p: p.subs_monomials(assign))
-
-    def eval_partial(self, assign: dict) -> "Frac":
-        num = self.num.eval_partial(assign)
-        out = num
-        for f, m in self.bag:
-            fv = f.eval_partial(assign)
-            if fv.is_zero():
-                raise ZeroDivisionError("substitution vanishes on a denominator factor")
-            out = out * (fv ** (-m))
-        return out
 
 
 def frac_sum(u: VarUniverse, terms) -> Frac:

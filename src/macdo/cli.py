@@ -22,10 +22,14 @@ DESK_N, DESK_M, DESK_WEIGHT = 4, 4, 5
 
 
 def check_limits(*, n=None, m=None, max_weight=None, unsafe=False):
-    """Refuse sizes beyond desk scale unless --unsafe-limits was given.
+    """Refuse sizes below n = 1, m = 0 or weight 0, and beyond desk scale.
 
-    Raises ValueError, which main turns into exit code 2.
+    Only the upper caps yield to --unsafe-limits.  Raises ValueError, which
+    main turns into exit code 2.
     """
+    for value, low, label in ((n, 1, "n"), (m, 0, "m"), (max_weight, 0, "max weight")):
+        if value is not None and value < low:
+            raise ValueError("%s must be at least %d" % (label, low))
     if unsafe:
         return
     for value, cap, label in ((n, DESK_N, "n"), (m, DESK_M, "m"),
@@ -122,6 +126,16 @@ def cmd_identity(args) -> int:
     return 0 if ok else 1
 
 
+def _operator_weight(case) -> int:
+    """The largest m of any B_m a case builds.
+
+    lambda_1 for an iterated build, else the case's m parameter (0 if none).
+    """
+    if case.name == "iterated_build":
+        return max(parse_partition(case.params["lambda"]), default=0)
+    return case.params.get("m", 0)
+
+
 def cmd_verify(args) -> int:
     check_limits(n=args.n, m=args.m, max_weight=args.max_weight,
                  unsafe=args.unsafe_limits)
@@ -131,6 +145,10 @@ def cmd_verify(args) -> int:
     except KeyError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    if not cases:
+        print("error: no %s cases within these limits" % args.suite, file=sys.stderr)
+        return 2
+    check_limits(m=max(_operator_weight(c) for c in cases), unsafe=args.unsafe_limits)
     reports, ok = run_cases(cases, shuffle_seed=args.seed)
     stream = _out_stream(args.out)
     try:

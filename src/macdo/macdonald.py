@@ -52,10 +52,6 @@ class QDiffOp:
             terms.append(c * f.qshift(gamma, self.block, self.shift_var))
         return frac_sum(self.u, terms)
 
-    def map_coeffs(self, fn) -> "QDiffOp":
-        return QDiffOp(self.u, {g: fn(c) for g, c in self.coeffs.items()},
-                       self.block, self.shift_var)
-
 
 def identity_op(u: VarUniverse, block: str = "x", shift_var: str = "q") -> QDiffOp:
     n = u.n_x if block == "x" else u.n_y
@@ -384,22 +380,29 @@ def cauchy_check(n: int, m: int) -> bool:
     return cauchy_diff(n, m).is_zero()
 
 
+def dual_lowering(f) -> Frac:
+    """(1/(y1..ym)) D_y(1;t,q) f over the whole y block of f's universe.
+
+    The division by y1*..*ym is the one sanctioned transient Laurent shift
+    on y exponents.
+    """
+    u = f.u
+    img = macdonald_d(u, block="y", swapped=True, with_u=False).apply(f)
+    return Frac(img.num.laurent_shift({"y%d" % j: -1 for j in range(1, u.n_y + 1)}),
+                img.bag)
+
+
 def lowering_diff(mu: Partition, m: int) -> Frac:
     """Difference for the row-lowering action of D_y(1;t,q)/(y1..ym).
 
     On P_mu(y;t,q) the operator strips a full column when mu has m rows and
-    kills the polynomial otherwise.  The division by y1*..*ym is the one
-    sanctioned transient Laurent shift on y exponents.
+    kills the polynomial otherwise.
     """
     mu = Partition(mu)
     if mu.length() > m:
         raise ValueError("mu must have at most m rows")
     u = universe(1, m)
-    p_y = _p_on_y_side(mu, m, u)
-    d = macdonald_d(u, block="y", swapped=True, with_u=False)
-    img = d.apply(p_y)
-    lowered = Frac(
-        img.num.laurent_shift({"y%d" % j: -1 for j in range(1, m + 1)}), img.bag)
+    lowered = dual_lowering(_p_on_y_side(mu, m, u))
     if mu.length() == m:
         stripped = Partition(p - 1 for p in mu)
         scalar = mp_prod(u, (u.one() - u.mono(1, {"q": m - i, "t": mu[i - 1]})

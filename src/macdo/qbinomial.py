@@ -19,13 +19,28 @@ from .algebra import (Frac, MPoly, VarUniverse, cauchy_kernel, frac_sum, mp_prod
 from .partitions import box_below, mi_leq, mi_sub, mi_weight, weak_compositions
 
 
-def _ratio_base(u: VarUniverse, c: int, i: int, j: int) -> MPoly:
-    """The monomial q^c x_i/x_j (just q^c when i == j)."""
-    exps = {"q": c}
+def _ratio_base(u: VarUniverse, c: int, i: int, j: int, e: int = 0) -> MPoly:
+    """The monomial t^e q^c x_i/x_j (just t^e q^c when i == j)."""
+    exps = {"q": c, "t": e}
     if i != j:
         exps["x%d" % i] = 1
         exps["x%d" % j] = -1
     return u.mono(1, exps)
+
+
+def double_poch_factors(u: VarUniverse, a: tuple, b: tuple, k: tuple | None = None,
+                        e: int = 0) -> list:
+    """The binomial factors of prod_{i,j} (t^e q^{a_i-b_j+1} x_i/x_j; q)_{k_j}.
+
+    ``k`` defaults to ``b``.  This one double product builds both sides of
+    C[alpha,beta](x), the value of the Cauchy kernel at p_alpha and every
+    Pochhammer family of the block coefficients b_alpha.
+    """
+    n = len(a)
+    k = b if k is None else k
+    return [f for i in range(1, n + 1) for j in range(1, n + 1)
+            for f in qpoch_factors(_ratio_base(u, a[i - 1] - b[j - 1] + 1, i, j, e),
+                                   k[j - 1])]
 
 
 @lru_cache(maxsize=None)
@@ -55,14 +70,8 @@ def qbinom_x(u: VarUniverse, alpha: tuple, beta: tuple) -> Frac:
         raise ValueError("multi-index length must match the universe")
     if not mi_leq(beta, alpha):
         raise ValueError("need beta <= alpha componentwise")
-    num = u.one()
-    den = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            bj = beta[j - 1]
-            num = num * qpoch(_ratio_base(u, alpha[i - 1] - bj + 1, i, j), bj)
-            den += qpoch_factors(_ratio_base(u, beta[i - 1] - bj + 1, i, j), bj)
-    return Frac.from_factors(num, den)
+    return Frac.from_factors(mp_prod(u, double_poch_factors(u, alpha, beta)),
+                             double_poch_factors(u, beta, beta))
 
 
 @dataclass(frozen=True)
@@ -95,10 +104,7 @@ def interp_product_closed(u: VarUniverse, gamma: tuple, alpha: tuple) -> MPoly:
     This is the value of prod_{i,j} (1 + q^{gamma_i} x_i y_j) at y =
     p_alpha(x); it vanishes unless gamma >= alpha.
     """
-    n = len(gamma)
-    return mp_prod(u, (qpoch(_ratio_base(u, gamma[i - 1] - alpha[j - 1] + 1, i, j),
-                             alpha[j - 1])
-                       for i in range(1, n + 1) for j in range(1, n + 1)))
+    return mp_prod(u, double_poch_factors(u, gamma, alpha))
 
 
 def interp_product_eval(gamma: tuple, alpha: tuple) -> Frac:

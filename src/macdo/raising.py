@@ -16,12 +16,12 @@ from functools import lru_cache
 from math import comb
 
 from .algebra import (Frac, MPoly, NotDivisible, VarUniverse, cauchy_kernel,
-                      frac_sum, mp_prod, qpoch_factors, universe)
-from .macdonald import (QDiffOp, macdonald_d, macdonald_j, macdonald_p,
+                      frac_sum, mp_prod, universe)
+from .macdonald import (QDiffOp, dual_lowering, macdonald_j, macdonald_p,
                         x_transposition_rename)
 from .partitions import (Partition, box_below, memo_per_partition, mi_leq,
-                         mi_weight, multi_indices_upto, weak_compositions)
-from .qbinomial import _ratio_base, interp_assignment, qbinom_x
+                         mi_sub, mi_weight, multi_indices_upto, weak_compositions)
+from .qbinomial import double_poch_factors, interp_assignment, qbinom_x
 
 
 # -- the phi blocks -----------------------------------------------------------
@@ -142,15 +142,6 @@ def ladder_inverse_check(alpha: tuple, beta: tuple) -> bool:
 # -- the b coefficients -----------------------------------------------------------
 
 
-def _t_ratio_base(u: VarUniverse, c: int, i: int, j: int) -> MPoly:
-    """The monomial t q^c x_i/x_j."""
-    exps = {"t": 1, "q": c}
-    if i != j:
-        exps["x%d" % i] = 1
-        exps["x%d" % j] = -1
-    return u.mono(1, exps)
-
-
 def block_coeff(u: VarUniverse, m: int, alpha: tuple) -> Frac:
     """Closed form of the coefficient b_alpha multiplying phi_alpha.
 
@@ -161,20 +152,15 @@ def block_coeff(u: VarUniverse, m: int, alpha: tuple) -> Frac:
     n = u.n_x
     if mi_weight(alpha) != m:
         raise ValueError("alpha must have weight m")
+    zero = (0,) * n
     terms = []
     for beta in box_below(alpha):
         wb = mi_weight(beta)
-        num_factors = []
-        den_factors = []
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                aj, bj = alpha[j - 1], beta[j - 1]
-                num_factors += qpoch_factors(_t_ratio_base(u, -bj + 1, i, j), bj)
-                num_factors += qpoch_factors(_ratio_base(u, -aj + 1, i, j), aj - bj)
-                den_factors += qpoch_factors(
-                    _ratio_base(u, beta[i - 1] - bj + 1, i, j), bj)
-                den_factors += qpoch_factors(
-                    _ratio_base(u, alpha[i - 1] - aj + 1, i, j), aj - bj)
+        rest = mi_sub(alpha, beta)
+        num_factors = (double_poch_factors(u, zero, beta, e=1) +
+                       double_poch_factors(u, zero, alpha, k=rest))
+        den_factors = (double_poch_factors(u, beta, beta) +
+                       double_poch_factors(u, alpha, alpha, k=rest))
         if any(f.is_zero() for f in num_factors):
             continue
         num = mp_prod(u, num_factors)
@@ -188,33 +174,19 @@ def block_coeff(u: VarUniverse, m: int, alpha: tuple) -> Frac:
 def block_coeff_interp(u: VarUniverse, m: int, alpha: tuple) -> Frac:
     """Oracle: b_alpha from the interpolation-point evaluation.
 
-    Applies the swapped Macdonald operator at u=1 to the Cauchy kernel
-    prod (1+x_i y_j), substitutes y = p_alpha, divides by y1*...*ym at the
-    point and by the vanishing double product.  Independent of the closed
-    beta-sum.
+    Substitutes y = p_alpha into the dual-lowered Cauchy kernel
+    (1/(y1..ym)) D_y(1;t,q) prod (1+x_i y_j) and divides by the vanishing
+    double product.  Independent of the closed beta-sum.
     """
     n = u.n_x
     if mi_weight(alpha) != m:
         raise ValueError("alpha must have weight m")
     uxy = universe(n, m)
-    img = macdonald_d(uxy, block="y", swapped=True, with_u=False).apply(
-        cauchy_kernel(uxy))
-    assign = interp_assignment(uxy, alpha)
-    at_p = img.subs_monomials(assign)
-    # 1/(y1...ym) at p_alpha: invert the product of the coordinates
-    prod_coords = mp_prod(uxy, assign.values()) if assign else uxy.one()
-    ((kmon, cmon),) = prod_coords.terms.items()
-    inv = MPoly(uxy, {2 * uxy.one_key - kmon: cmon})
-    vanish = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            vanish += qpoch_factors(
-                _ratio_base(uxy, alpha[i - 1] - alpha[j - 1] + 1, i, j),
-                alpha[j - 1])
+    at_p = lowered_kernel(m, n).subs_monomials(interp_assignment(uxy, alpha))
     bag = dict(at_p.bag)
-    for f in vanish:
+    for f in double_poch_factors(uxy, alpha, alpha):
         bag[f] = bag.get(f, 0) + 1
-    return Frac(at_p.num * inv, bag).convert(u).shrink()
+    return Frac(at_p.num, bag).convert(u).shrink()
 
 
 # -- assembly and verification ------------------------------------------------------
@@ -290,21 +262,22 @@ def iterated_build_check(lam, n: int) -> bool:
     return iterated_build_diff(lam, n).is_zero()
 
 
+@lru_cache(maxsize=None)
 def raising_on_kernel(m: int, n: int) -> Frac:
-    """B_m acting in x on the Cauchy kernel prod (1+x_i y_j), as a fraction."""
+    """B_m acting in x on the Cauchy kernel prod (1+x_i y_j); memoized per (m, n)."""
     uxy = universe(n, m)
     return convert_op(row_raising_op(m, n), uxy).apply(cauchy_kernel(uxy))
 
 
+@lru_cache(maxsize=None)
+def lowered_kernel(m: int, n: int) -> Frac:
+    """(1/(y1..ym)) D_y(1;t,q) prod (1+x_i y_j); memoized per (m, n)."""
+    return dual_lowering(cauchy_kernel(universe(n, m)))
+
+
 def key_identity_diff(m: int, n: int) -> Frac:
     """Difference of B_x prod(1+x_i y_j) and (1/(y1..ym)) D_y(1;t,q) of it."""
-    uxy = universe(n, m)
-    lhs = raising_on_kernel(m, n)
-    img = macdonald_d(uxy, block="y", swapped=True, with_u=False).apply(
-        cauchy_kernel(uxy))
-    rhs = Frac(img.num.laurent_shift({"y%d" % j: -1 for j in range(1, m + 1)}),
-               img.bag)
-    return lhs - rhs
+    return raising_on_kernel(m, n) - lowered_kernel(m, n)
 
 
 def key_identity_check(m: int, n: int) -> bool:

@@ -41,10 +41,6 @@ def frac_to_obj(fr: Frac) -> dict:
     return {"num": poly_to_obj(fr.num), "den": poly_to_obj(fr.den)}
 
 
-def frac_from_obj(obj: dict) -> Frac:
-    return Frac.over(poly_from_obj(obj["num"]), poly_from_obj(obj["den"]))
-
-
 def sympoly_to_obj(sp: SymPoly, lam: Partition, kind: str) -> dict:
     """Monomial-basis table for a P or J polynomial.
 

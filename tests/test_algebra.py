@@ -6,7 +6,7 @@ import pytest
 
 from macdo.algebra import (Frac, MPoly, NotDivisible, UniverseMismatch,
                            div_exact, frac_sum, mp_prod, mp_sum, qpoch,
-                           qpoch_factors, try_div, universe)
+                           qpoch_factors, try_div, universe, universe_of_names)
 from macdo.serialize import poly_from_obj, poly_to_obj
 
 
@@ -68,31 +68,6 @@ def test_shift_composes_additively():
         assert f.qshift(g1).qshift(g2) == f.qshift(total)
 
 
-def test_eval_partial_interpolation_zero():
-    u = universe(1, 1)
-    f = u.one() + u.x(1) * u.y(1)
-    v = f.eval_partial({"y1": Frac.over(-u.one(), u.x(1))})
-    assert v.is_zero()
-
-
-def test_eval_partial_product_of_points():
-    u = universe(1, 2)
-    f = u.y(1) * u.y(2)
-    v = f.eval_partial({
-        "y1": Frac.over(-u.one(), u.x(1)),
-        "y2": Frac.over(-u.one(), u.gen("q") * u.x(1)),
-    })
-    expect = Frac.over(u.one(), u.gen("q") * u.x(1) * u.x(1))
-    assert v.eq(expect)
-
-
-def test_eval_partial_untouched_without_assignment():
-    f = X1 + Q
-    assert f.eval_partial({}).eq(Frac(f))
-    # assigning a variable the polynomial does not involve changes nothing
-    assert f.eval_partial({"y1": Frac.over(-ONE, X1)}).eq(Frac(f))
-
-
 def test_packed_exponent_range_is_enforced():
     u = universe(2)
     for e in (2 ** 27 - 1, -2 ** 27):
@@ -110,13 +85,13 @@ def test_packed_exponent_range_is_enforced():
         u.mono(1, {"t": 2 ** 27})
 
 
-def test_frac_eval_partial():
-    u = universe(1, 1)
-    fr = Frac.over(u.one() + u.x(1) * u.y(1), u.y(1))
-    v = fr.eval_partial({"y1": Frac(u.gen("q"))})
-    assert v.eq(Frac.over(u.one() + u.x(1) * u.gen("q"), u.gen("q")))
-    with pytest.raises(ZeroDivisionError):
-        fr.eval_partial({"y1": Frac(u.zero())})
+def test_universe_of_names_accepts_only_the_canonical_list():
+    for u in (universe(1), universe(2, 1, u=True), U):
+        assert universe_of_names(list(u.names)) == u
+    for names in (("q", "x1"), ("t", "q", "x1"), ("q", "t", "x2", "x1"),
+                  ("q", "t", "y1", "x1")):
+        with pytest.raises(ValueError):
+            universe_of_names(names)
 
 
 def test_frac_eq_examples():

@@ -68,6 +68,29 @@ def test_desk_scale_limits(capsys):
     assert code == 2 and "unsafe-limits" in err
 
 
+def test_sizes_below_the_lower_bounds_are_refused(capsys):
+    for argv in (("operator", "--m", "-1", "--n", "2"),
+                 ("verify", "--suite", "keyid", "--m", "-1"),
+                 ("verify", "--suite", "keyid", "--n", "0"),
+                 ("verify", "--suite", "qbinom", "--max-weight", "-1")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "at least" in err, argv
+
+
+def test_verify_refuses_an_empty_selection(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "hl", "--m", "0")
+    assert code == 2 and out == "" and "no hl cases" in err
+
+
+def test_verify_max_weight_does_not_build_past_the_desk_m(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "raising",
+                             "--max-weight", "5")
+    assert code == 2 and out == "" and "unsafe-limits" in err
+    code, out, _ = run_cli(capsys, "verify", "--suite", "qbinom",
+                           "--max-weight", "5", "--n", "1")
+    assert code == 0 and out
+
+
 def test_identity_pass_and_fail_reports(capsys):
     code, out, _ = run_cli(capsys, "identity", "--name", "qbinom",
                            "--alpha", "2,1")
@@ -178,3 +201,9 @@ def test_operator_json_matches_library(capsys):
                            "--format", "json")
     assert code == 0
     assert out == dumps(op_to_obj(row_raising_op(2, 2), 2))
+
+
+def test_checked_in_golden_corpus_matches(capsys):
+    golden = os.path.join(os.path.dirname(__file__), "golden")
+    code, _, err = run_cli(capsys, "golden", "check", golden)
+    assert code == 0, err

@@ -9,12 +9,13 @@ from macdo.raising import (block_coeff, block_coeff_interp, degree_bound_check,
                            equivariance_check, hall_littlewood_apply,
                            hall_littlewood_p, hall_littlewood_raising_check,
                            hall_littlewood_raising_scalar, iterated_build_check,
-                           key_identity_check, ladder_f_closed, ladder_f_paths,
-                           ladder_g, ladder_inverse_check, limit_q0,
-                           order_bound_check, polynomial_image_check,
-                           raising_block, raising_block_entry,
-                           raising_block_recurrence, raising_check,
-                           recurrence_weight, row_raising_op)
+                           key_identity_check, key_identity_diff, ladder_f_closed,
+                           ladder_f_paths, ladder_g, ladder_inverse_check,
+                           limit_q0, lowered_kernel, order_bound_check,
+                           polynomial_image_check, raising_block,
+                           raising_block_entry, raising_block_recurrence,
+                           raising_check, raising_on_kernel, recurrence_weight,
+                           row_raising_op)
 
 U1 = universe(1)
 U2 = universe(2)
@@ -125,6 +126,15 @@ def test_degree_bound_examples():
     assert degree_bound_check(0, 2)
     assert degree_bound_check(1, 2)
     assert degree_bound_check(2, 2)
+
+
+def test_kernel_images_are_built_once_per_pair():
+    raising_on_kernel.cache_clear()
+    lowered_kernel.cache_clear()
+    assert key_identity_diff(1, 2).is_zero()
+    assert degree_bound_check(1, 2)
+    assert raising_on_kernel.cache_info().misses == 1
+    assert lowered_kernel.cache_info().misses == 1
 
 
 def test_limit_q0():
