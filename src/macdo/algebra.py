@@ -144,9 +144,17 @@ class VarUniverse:
         return self.gen("y%d" % j)
 
 
-@lru_cache(maxsize=None)
 def universe(n_x: int, n_y: int = 0, u: bool = False) -> VarUniverse:
-    """Interned universe factory; always prefer this over VarUniverse()."""
+    """Interned universe factory; always prefer this over VarUniverse().
+
+    Interned by value: every call naming the same variables, positionally or
+    by keyword, returns the same object.
+    """
+    return _interned_universe(n_x, n_y, u)
+
+
+@lru_cache(maxsize=None)
+def _interned_universe(n_x: int, n_y: int, u: bool) -> VarUniverse:
     return VarUniverse(n_x, n_y, u)
 
 
@@ -162,7 +170,7 @@ def universe_of_names(names) -> VarUniverse:
 
 
 def _chk_u(a: VarUniverse, b: VarUniverse):
-    if a != b:
+    if a is not b and a != b:
         raise UniverseMismatch("%r vs %r" % (a, b))
 
 
@@ -854,13 +862,25 @@ class Frac:
         return self._map(lambda p: p.subs_monomials(assign))
 
 
-def frac_sum(u: VarUniverse, terms) -> Frac:
+def frac_sum(u: VarUniverse, terms, *, cancel: bool = False) -> Frac:
     """Sum fractions over the union of their factored denominators.
 
     Fractions are merged pairwise, most-similar denominators first, so each
     merge only multiplies numerators by the symmetric difference of the two
-    factor bags.  The result is identical to clearing everything to the
-    multiset union at once, just far cheaper on big sums.
+    factor bags.  Without ``cancel`` the result is identical to clearing
+    everything to the multiset union at once, just far cheaper on big sums.
+
+    With ``cancel`` each merge also trial-divides the new numerator by every
+    two-term factor found in both bags, up to the smaller of its two
+    multiplicities, and drops each factor that divides exactly from the
+    union bag.  The value is unchanged; numerators stay small because shared
+    poles cancel as the sum proceeds instead of all at the end.  Only
+    two-term factors are tried: they divide in linear time
+    (:func:`_div_binomial`), while trial division by multi-term factors (the
+    eigenvalue gaps of the P solve) costs far more than it saves.  Only
+    :meth:`macdonald.QDiffOp.apply` cancels; the B_m build and the P solve
+    keep the plain merge because their stored, serialized fractions would
+    change, which waits for a canonical lowest-terms form.
     """
     items = []
     for tm in terms:
@@ -893,6 +913,18 @@ def frac_sum(u: VarUniverse, terms) -> Frac:
         s = n1 + n2
         if s.is_zero():
             union = {}
+        elif cancel:
+            for f, m in b1.items():
+                if len(f.terms) != 2:
+                    continue
+                for _ in range(min(m, b2.get(f, 0))):
+                    qu = try_div(s, f)
+                    if qu is None:
+                        break
+                    s = qu
+                    union[f] -= 1
+                    if not union[f]:
+                        del union[f]
         items.append((s, union))
     num, bag = items[0]
     return Frac(num, bag)

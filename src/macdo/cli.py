@@ -109,6 +109,9 @@ def cmd_identity(args) -> int:
         params[p] = v
     parsed = {p: _parse_mi(v) if p in _MULTI_INDEX_OPTIONS else v
               for p, v in params.items()}
+    for p, v in parsed.items():
+        if min(v if p in _MULTI_INDEX_OPTIONS else (v,)) < 0:
+            raise ValueError("--%s must not be negative" % p)
     mis = [v for p, v in parsed.items() if p in _MULTI_INDEX_OPTIONS]
     if mis:
         # --k only matters up to the weight, so it is held to the same cap

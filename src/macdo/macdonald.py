@@ -45,12 +45,17 @@ class QDiffOp:
         return sorted(self.coeffs, key=lambda g: (mi_weight(g), tuple(-e for e in g)))
 
     def apply(self, f) -> Frac:
-        """Exact image  sum_gamma c_gamma * f(shift^gamma v)."""
+        """Exact image  sum_gamma c_gamma * f(shift^gamma v).
+
+        The sum cancels shared two-term denominator factors as it merges
+        (see :func:`frac_sum`), so the image's bag may be smaller than the
+        union of the coefficients' bags.
+        """
         f = as_frac(self.u, f)
         terms = []
         for gamma, c in self.coeffs.items():
             terms.append(c * f.qshift(gamma, self.block, self.shift_var))
-        return frac_sum(self.u, terms)
+        return frac_sum(self.u, terms, cancel=True)
 
 
 def identity_op(u: VarUniverse, block: str = "x", shift_var: str = "q") -> QDiffOp:

@@ -205,6 +205,12 @@ def test_laurent_restrictions():
         U.mono(1, {"y1": -2})
 
 
+def test_universe_is_interned_by_value():
+    assert universe(1) is universe(1, 0, False) is universe(n_x=1, u=False)
+    for u in (universe(1), universe(2, 2), universe(3, u=True)):
+        assert universe_of_names(u.names) is u
+
+
 def test_universe_mismatch_raises():
     other = universe(3)
     with pytest.raises(UniverseMismatch):

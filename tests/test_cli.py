@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, deterministic serialization."""
 
+import hashlib
 import json
 import os
 
@@ -124,6 +125,18 @@ def test_identity_obeys_desk_limits(capsys):
     assert code == 0 and json.loads(out)["pass"] is True
 
 
+def test_identity_refuses_negative_inputs(capsys):
+    for argv in (("--name", "chu", "--alpha", "1,1", "--k", "-1"),
+                 ("--name", "chu", "--alpha=1,-1", "--k", "1"),
+                 ("--name", "chu2", "--alpha", "1,0", "--beta", "0,1", "--k", "-3"),
+                 ("--name", "chu2", "--alpha", "1,0", "--beta=0,-1", "--k", "1"),
+                 ("--name", "qbinom", "--alpha=-1,2"),
+                 ("--name", "product-rule", "--alpha=2,-1", "--gamma", "1,0",
+                  "--beta", "0,1")):
+        code, out, err = run_cli(capsys, "identity", *argv)
+        assert code == 2 and out == "" and "must not be negative" in err, argv
+
+
 def test_identity_interp_report(capsys):
     code, out, _ = run_cli(capsys, "identity", "--name", "interp",
                            "--gamma", "0,1", "--alpha", "1,0")
@@ -207,3 +220,17 @@ def test_checked_in_golden_corpus_matches(capsys):
     golden = os.path.join(os.path.dirname(__file__), "golden")
     code, _, err = run_cli(capsys, "golden", "check", golden)
     assert code == 0, err
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("operator", "--m", "3", "--n", "2", "--format", "json"),
+     "877e2aa63aa02d15d6139234e62a58c669be74e2de26b645cdb6590a8a87a586"),
+    (("poly", "P", "--lambda", "3,1", "--n", "3", "--format", "json"),
+     "70d10f1459f685992d4beb8d7d15270960df87a1167588a0cf1dc0935b61a416"),
+])
+def test_uncancelled_outputs_keep_their_bytes(capsys, argv, digest):
+    # the B_m build and the P solve sum without cancelling, so their stored
+    # fractions, and these bytes, change only with a canonical form
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

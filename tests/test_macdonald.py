@@ -2,7 +2,7 @@
 
 import pytest
 
-from macdo.algebra import Frac, NotDivisible, universe
+from macdo.algebra import Frac, NotDivisible, cauchy_kernel, frac_sum, universe
 from macdo.macdonald import (QDiffOp, cauchy_check, d1_eigenvalue,
                              determinantal_agreement_check, eigen_check,
                              eigenvalue_u, expand_in_monomial_basis,
@@ -11,6 +11,7 @@ from macdo.macdonald import (QDiffOp, cauchy_check, d1_eigenvalue,
                              macdonald_d1, macdonald_d_det, macdonald_j,
                              macdonald_p, monomial_symmetric, operators_agree)
 from macdo.partitions import Partition, partitions_of
+from macdo.raising import row_raising_op
 
 
 def test_apply_identity_and_single_shift():
@@ -172,3 +173,38 @@ def test_lowering_examples():
     assert lowering_check(Partition((2, 1)), 2)
     with pytest.raises(ValueError):
         lowering_check(Partition((1, 1, 1)), 2)
+
+
+def _cancelling_sum_cases():
+    """(operator, argument) pairs whose images QDiffOp.apply sums with cancel."""
+    for m, n in ((2, 2), (2, 3)):
+        for d in range(3):
+            for lam in partitions_of(d, max_len=n):
+                yield row_raising_op(m, n), macdonald_j(lam, n).as_mpoly()
+    u3 = universe(3)
+    for d in range(4):
+        for mu in partitions_of(d, max_len=3):
+            yield macdonald_d1(u3), monomial_symmetric(u3, mu)
+    uxy = universe(2, 2)
+    yield macdonald_d(uxy, block="y", swapped=True, with_u=False), cauchy_kernel(uxy)
+
+
+def test_cancelling_sum_agrees_with_the_plain_sum():
+    removed_total = 0
+    for op, f in _cancelling_sum_cases():
+        terms = [c * Frac(f).qshift(g, op.block, op.shift_var)
+                 for g, c in op.coeffs.items()]
+        plain = frac_sum(op.u, terms)
+        cancelled = frac_sum(op.u, terms, cancel=True)
+        img = op.apply(f)
+        assert img.num == cancelled.num and img.bag == cancelled.bag
+        assert cancelled.eq(plain)
+        plain_bag, kept = dict(plain.bag), dict(cancelled.bag)
+        for fac, mult in kept.items():
+            assert mult <= plain_bag.get(fac, 0)
+        for fac, mult in plain_bag.items():
+            if kept.get(fac, 0) < mult:
+                assert len(fac.terms) == 2
+                removed_total += mult - kept.get(fac, 0)
+        assert cancelled.as_poly() == plain.as_poly()
+    assert removed_total > 0
