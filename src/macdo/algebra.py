@@ -7,8 +7,11 @@ packed into a single integer (28 bits per variable, offset so that negative
 exponents pack monotonically), which makes monomial multiplication a single
 integer addition and makes the canonical term order (lexicographic on the
 fixed variable order q, t, u, x1.., y1.., exponents compared high-to-low)
-plain integer comparison of keys.  The constructors reject an exponent
-outside [-2^27, 2^27) rather than let it spill into the next field.
+plain integer comparison of keys.  The constructors and the shifts
+(``qshift``, ``mono_mul``, ``laurent_shift``) reject an exponent outside
+[-2^27, 2^27) rather than let it spill into the next field; ``MPoly.__mul__``
+adds keys unchecked, because a check per term product would cost more than
+the product.
 
 Fractions carry their denominator as a multiset of polynomial factors and
 are never reduced to lowest terms.  Equality is decided by
@@ -281,18 +284,12 @@ class MPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        out = self.u.one()
-        for _ in range(e):
-            out = out * self
-        return out
-
     def mono_mul(self, c: int, exps: dict) -> "MPoly":
         """Fast multiply by the monomial c * prod(var^e)."""
         if not c:
             return self.u.zero()
+        for nm, e in exps.items():
+            self._check_shift(nm, e)
         off = self.u.mono(1, exps)
         (k0,) = off.terms
         off_key = k0 - self.u.one_key
@@ -313,6 +310,13 @@ class MPoly:
         s = self.u._shift[self.u.pos(name)]
         return min(((k >> s) & _MASK) for k in self.terms) - _B
 
+    def _check_shift(self, name: str, e: int):
+        """Raise ValueError if adding e to each exponent of name leaves its field."""
+        if e and self.terms and not (-_B <= self.min_exp(name) + e
+                                     and self.max_exp(name) + e < _B):
+            raise ValueError("shifting %s by %d overflows its %d-bit packed field"
+                             % (name, e, _W))
+
     def _min_vec(self):
         mins = [_MASK] * self.u.nvars
         for k in self.terms:
@@ -324,18 +328,13 @@ class MPoly:
 
     # -- shifts and substitutions ---------------------------------------------
 
-    def qshift(self, gamma, block: str = "x", shift_var: str = "q") -> "MPoly":
-        """Substitute v_i -> s^{gamma_i} v_i over a variable block.
-
-        The default is the q-shift on x; the swapped-parameter operators use
-        the t-shift on y.
-        """
+    def qshift(self, gamma) -> "MPoly":
+        """Substitute x_i -> q^{gamma_i} x_i."""
         u = self.u
-        if len(gamma) > (u.n_x if block == "x" else u.n_y):
-            raise ValueError("shift vector longer than the %s block" % block)
-        v0 = u._x0 if block == "x" else u._y0
-        shifts = [u._shift[v0 + i] for i in range(len(gamma))]
-        sv = u._shift[u.pos(shift_var)]
+        if len(gamma) > u.n_x:
+            raise ValueError("shift vector longer than the x variables")
+        shifts = [u._shift[u._x0 + i] for i in range(len(gamma))]
+        sv = u._shift[0]
         out = {}
         for k, c in self.terms.items():
             d = 0
@@ -343,6 +342,10 @@ class MPoly:
                 if g:
                     d += g * (((k >> s) & _MASK) - _B)
             out[k + (d << sv)] = c
+        # q is the most significant field, so a q exponent outside its range
+        # shows as a negative key or as bits above the field
+        if out and (min(out) < 0 or max(out) >> sv > _MASK):
+            raise ValueError("q-shift overflows the %d-bit packed q field" % _W)
         return MPoly(u, out)
 
     def laurent_shift(self, deltas: dict) -> "MPoly":
@@ -352,6 +355,8 @@ class MPoly:
         divides by y1*...*ym and re-enters the legal range afterwards.
         """
         u = self.u
+        for nm, d in deltas.items():
+            self._check_shift(nm, d)
         off = sum(d << u._shift[u.pos(nm)] for nm, d in deltas.items())
         return MPoly(u, {k + off: c for k, c in self.terms.items()})
 
@@ -852,8 +857,8 @@ class Frac:
             bag[nf] = bag.get(nf, 0) + m
         return Frac(fn(self.num), bag)
 
-    def qshift(self, gamma, block: str = "x", shift_var: str = "q") -> "Frac":
-        return self._map(lambda p: p.qshift(gamma, block, shift_var))
+    def qshift(self, gamma) -> "Frac":
+        return self._map(lambda p: p.qshift(gamma))
 
     def convert(self, target: VarUniverse, rename: dict | None = None) -> "Frac":
         return self._map(lambda p: p.convert(target, rename))
@@ -877,10 +882,14 @@ def frac_sum(u: VarUniverse, terms, *, cancel: bool = False) -> Frac:
     poles cancel as the sum proceeds instead of all at the end.  Only
     two-term factors are tried: they divide in linear time
     (:func:`_div_binomial`), while trial division by multi-term factors (the
-    eigenvalue gaps of the P solve) costs far more than it saves.  Only
-    :meth:`macdonald.QDiffOp.apply` cancels; the B_m build and the P solve
-    keep the plain merge because their stored, serialized fractions would
-    change, which waits for a canonical lowest-terms form.
+    eigenvalue gaps of the P solve) costs far more than it saves.
+
+    Only :meth:`macdonald.QDiffOp.apply` cancels, and the reason is speed.
+    The B_m build keeps the plain merge because its cancelled coefficients
+    carry bags that make every later application of B_m slower (it would
+    also change the bytes ``operator --format json`` writes).  The P solve
+    and the other sums keep it only until a benchmark shows that cancelling
+    there pays; their output bytes would not change.
     """
     items = []
     for tm in terms:

@@ -1,11 +1,15 @@
 """Macdonald q-difference operators and the polynomials they single out.
 
-The generating operator D(u) is assembled over subsets K of the variable
-block with the cleared cross-ratio (v_j - t v_i)/(v_j - v_i); its
-determinantal form is an independent construction used as a cross-check.
-P polynomials come out of a dominance-triangular solve against the
-one-subset operator D_1, and the integral forms J certify their coefficients
-in Z[q,t] by exact division.
+Every operator here acts on the x variables by q-shifts.  The generating
+operator D(u) is assembled over subsets K of the x variables with the
+cleared cross-ratio (x_j - t x_i)/(x_j - x_i); its determinantal form is an
+independent construction used as a cross-check.  The operator D_y(1;t,q) of
+the dual side is not built separately: by the duality q <-> t, x <-> y
+(Macdonald, Symmetric Functions and Hall Polynomials, ch. VI) it is
+D(1;q,t) on the renamed variables, which is how :func:`dual_lowering` and
+the P_lam(y;t,q) of the Cauchy checks are obtained.  P polynomials come out
+of a dominance-triangular solve against the one-subset operator D_1, and the
+integral forms J certify their coefficients in Z[q,t] by exact division.
 """
 
 from __future__ import annotations
@@ -19,33 +23,25 @@ from .partitions import (Partition, dominance_downset, memo_per_partition,
 
 
 class QDiffOp:
-    """Finite sum  sum_gamma c_gamma * T^gamma  of shift operators.
+    """Finite sum  sum_gamma c_gamma * T^gamma  of q-shifts on the x variables.
 
-    ``block`` selects which variable family is shifted and ``shift_var``
-    what multiplies it, so the same class covers T_{q,x} and the
-    swapped-parameter T_{t,y} operators.
+    T^gamma substitutes x_i -> q^{gamma_i} x_i.
     """
 
-    __slots__ = ("u", "block", "shift_var", "coeffs")
+    __slots__ = ("u", "coeffs")
 
-    def __init__(self, u: VarUniverse, coeffs: dict, block: str = "x",
-                 shift_var: str = "q"):
+    def __init__(self, u: VarUniverse, coeffs: dict):
         self.u = u
-        self.block = block
-        self.shift_var = shift_var
         self.coeffs = coeffs
 
     def nvars(self) -> int:
-        return self.u.n_x if self.block == "x" else self.u.n_y
-
-    def order(self) -> int:
-        return max((mi_weight(g) for g in self.coeffs), default=0)
+        return self.u.n_x
 
     def keys_canonical(self) -> list:
         return sorted(self.coeffs, key=lambda g: (mi_weight(g), tuple(-e for e in g)))
 
     def apply(self, f) -> Frac:
-        """Exact image  sum_gamma c_gamma * f(shift^gamma v).
+        """Exact image  sum_gamma c_gamma * f(q^gamma x).
 
         The sum cancels shared two-term denominator factors as it merges
         (see :func:`frac_sum`), so the image's bag may be smaller than the
@@ -54,84 +50,67 @@ class QDiffOp:
         f = as_frac(self.u, f)
         terms = []
         for gamma, c in self.coeffs.items():
-            terms.append(c * f.qshift(gamma, self.block, self.shift_var))
+            terms.append(c * f.qshift(gamma))
         return frac_sum(self.u, terms, cancel=True)
 
 
-def identity_op(u: VarUniverse, block: str = "x", shift_var: str = "q") -> QDiffOp:
-    n = u.n_x if block == "x" else u.n_y
-    return QDiffOp(u, {(0,) * n: Frac(u.one())}, block, shift_var)
+def cross_term(u: VarUniverse, K, others):
+    """Cleared cross-ratio prod_{i in K, j not in K} (x_j - t x_i)/(x_j - x_i).
 
-
-def _block_var(u: VarUniverse, block: str, i: int) -> str:
-    return ("x%d" if block == "x" else "y%d") % (i + 1)
-
-
-def _cross_term(u: VarUniverse, block: str, swapped: bool, K, others):
-    """Cleared cross-ratio prod_{i in K, j not in K} (v_j - P v_i)/(v_j - v_i).
-
-    P is t for the plain operator, q for the swapped-parameter one.  The
-    denominator comes back as a factor bag in the canonical orientation
-    (v_min - v_max), so equal factors collide across subsets; the sign the
-    reorientation produces is absorbed into the numerator.
+    Indices are 0-based.  The denominator comes back as a factor bag in the
+    canonical orientation (x_min - x_max), so equal factors collide across
+    subsets; the sign the reorientation produces is absorbed into the
+    numerator.
     """
-    pvar = "q" if swapped else "t"
     num = u.one()
     bag = {}
     sign = 1
     for i in K:
         for j in others:
-            vi, vj = _block_var(u, block, i), _block_var(u, block, j)
-            num = num * (u.gen(vj) - u.gen(vi).mono_mul(1, {pvar: 1}))
+            num = num * (u.x(j + 1) - u.x(i + 1).mono_mul(1, {"t": 1}))
             lo, hi = (i, j) if i < j else (j, i)
-            f = u.gen(_block_var(u, block, lo)) - u.gen(_block_var(u, block, hi))
+            f = u.x(lo + 1) - u.x(hi + 1)
             bag[f] = bag.get(f, 0) + 1
             if i < j:
                 sign = -sign
     return num.scale(sign), bag
 
 
-def macdonald_d(u: VarUniverse, block: str = "x", swapped: bool = False,
-                with_u: bool = True) -> QDiffOp:
+def macdonald_d(u: VarUniverse, with_u: bool = True) -> QDiffOp:
     """The generating operator D(u;q,t) = sum_r (-u)^r D_r over 2^n subsets.
 
-    With ``swapped`` the parameter roles are exchanged: D(u;t,q), whose
-    shifts multiply by t and whose prefactor is a power of q.  With
-    ``with_u=False`` the specialization u=1 is built instead (no u variable
-    needed in the universe).
+    With ``with_u=False`` the specialization u=1 is built instead (no u
+    variable needed in the universe).
     """
-    n = u.n_x if block == "x" else u.n_y
-    pref_var = "q" if swapped else "t"
-    shift_var = "t" if swapped else "q"
+    n = u.n_x
     coeffs = {}
     for bits in itertools.product((0, 1), repeat=n):
         K = [i for i in range(n) if bits[i]]
         others = [j for j in range(n) if not bits[j]]
         k = len(K)
-        num, bag = _cross_term(u, block, swapped, K, others)
-        pref = {pref_var: k * (k - 1) // 2}
+        num, bag = cross_term(u, K, others)
+        pref = {"t": k * (k - 1) // 2}
         if with_u:
             pref["u"] = k
         num = num.mono_mul((-1) ** k, pref)
         coeffs[bits] = Frac(num, bag)
-    return QDiffOp(u, coeffs, block, shift_var)
+    return QDiffOp(u, coeffs)
 
 
-def macdonald_d1(u: VarUniverse, block: str = "x", swapped: bool = False) -> QDiffOp:
+def macdonald_d1(u: VarUniverse) -> QDiffOp:
     """The one-subset operator D_1 (coefficient of -u in D(u))."""
-    n = u.n_x if block == "x" else u.n_y
-    shift_var = "t" if swapped else "q"
+    n = u.n_x
     coeffs = {}
     for i in range(n):
         others = [j for j in range(n) if j != i]
-        num, bag = _cross_term(u, block, swapped, [i], others)
+        num, bag = cross_term(u, [i], others)
         gamma = tuple(1 if j == i else 0 for j in range(n))
         coeffs[gamma] = Frac(num, bag)
-    return QDiffOp(u, coeffs, block, shift_var)
+    return QDiffOp(u, coeffs)
 
 
 def macdonald_d_det(u: VarUniverse) -> QDiffOp:
-    """Determinantal form of D(u;q,t) on the x block.
+    """Determinantal form of D(u;q,t).
 
     Expands (1/Delta(x)) sum_w eps(w) w(prod_i x_i^{n-i}(1 - u t^{n-i} T_{q,x_i}))
     directly; every coefficient is a fraction over the Vandermonde factors.
@@ -164,7 +143,7 @@ def macdonald_d_det(u: VarUniverse) -> QDiffOp:
             g = tuple(gamma)
             nums[g] = nums.get(g, u.zero()) + mono
     coeffs = {g: Frac(num, dict(delta_bag)) for g, num in nums.items()}
-    return QDiffOp(u, coeffs, "x", "q")
+    return QDiffOp(u, coeffs)
 
 
 def _perm_sign(w) -> int:
@@ -233,8 +212,8 @@ def is_symmetric_frac(v: Frac) -> bool:
     """Invariance of a fraction under all adjacent x transpositions."""
     u = v.u
     for i in range(1, u.n_x):
-        swapped = v.convert(u, x_transposition_rename(i, i + 1))
-        if not v.eq(swapped):
+        transposed = v.convert(u, x_transposition_rename(i, i + 1))
+        if not v.eq(transposed):
             return False
     return True
 
@@ -252,12 +231,9 @@ class SymPoly:
     def as_mpoly(self) -> MPoly:
         return self.value.as_poly()
 
-    def coeff(self, mu: Partition) -> Frac:
-        return self.expansion.get(mu, Frac(self.value.u.zero()))
-
 
 def d1_eigenvalue(u: VarUniverse, mu: Partition) -> MPoly:
-    """sum_i q^{mu_i} t^{n-i} for the x block of the universe."""
+    """sum_i q^{mu_i} t^{n-i}, n the number of x variables of the universe."""
     n = u.n_x
     return mp_sum(u, (u.mono(1, {"q": m, "t": n - i})
                       for i, m in enumerate(mu.padded(n), start=1)))
@@ -349,20 +325,22 @@ def eigen_diff(lam: Partition, n: int) -> Frac:
     return d.apply(p) - p * eigenvalue_u(uu, lam)
 
 
-def eigen_check(lam: Partition, n: int) -> bool:
-    return eigen_diff(lam, n).is_zero()
-
-
 def determinantal_agreement_check(n: int) -> bool:
     uu = universe(n, u=True)
     return operators_agree(macdonald_d(uu), macdonald_d_det(uu))
 
 
+def _duality(n_x: int, n_y: int) -> dict:
+    """The renaming q <-> t, x_i -> y_i, y_j -> x_j of a universe's variables."""
+    rename = {"q": "t", "t": "q"}
+    rename.update({"x%d" % i: "y%d" % i for i in range(1, n_x + 1)})
+    rename.update({"y%d" % j: "x%d" % j for j in range(1, n_y + 1)})
+    return rename
+
+
 def _p_on_y_side(lam: Partition, m: int, target: VarUniverse) -> Frac:
     """P_lam(y; t, q): computed in x variables, then q<->t and x->y."""
-    rename = {"q": "t", "t": "q"}
-    rename.update({"x%d" % i: "y%d" % i for i in range(1, m + 1)})
-    return macdonald_p(lam, m).value.convert(target, rename)
+    return macdonald_p(lam, m).value.convert(target, _duality(m, 0))
 
 
 def cauchy_diff(n: int, m: int) -> Frac:
@@ -381,18 +359,24 @@ def cauchy_diff(n: int, m: int) -> Frac:
     return frac_sum(u, terms) - lhs
 
 
-def cauchy_check(n: int, m: int) -> bool:
-    return cauchy_diff(n, m).is_zero()
-
-
 def dual_lowering(f) -> Frac:
-    """(1/(y1..ym)) D_y(1;t,q) f over the whole y block of f's universe.
+    """(1/(y1..ym)) D_y(1;t,q) f over every y variable of f's universe.
 
-    The division by y1*..*ym is the one sanctioned transient Laurent shift
-    on y exponents.
+    D_y(1;t,q) is D(1;q,t) seen through the renaming q <-> t, x <-> y, so f
+    is carried into the dual universe, D(1;q,t) acts there on x, and the
+    image is carried back.  Precondition: f has no negative q or x exponent,
+    since those become t and y exponents; ``convert`` raises ValueError
+    otherwise.  The division by y1*..*ym is the one sanctioned transient
+    Laurent shift on y exponents.
     """
     u = f.u
-    img = macdonald_d(u, block="y", swapped=True, with_u=False).apply(f)
+    f = as_frac(u, f)
+    if not u.n_y:
+        return f
+    rename = _duality(u.n_x, u.n_y)
+    dual = universe(u.n_y, u.n_x)
+    img = macdonald_d(dual, with_u=False).apply(f.convert(dual, rename))
+    img = img.convert(u, {v: k for k, v in rename.items()})
     return Frac(img.num.laurent_shift({"y%d" % j: -1 for j in range(1, u.n_y + 1)}),
                 img.bag)
 
@@ -416,7 +400,3 @@ def lowering_diff(mu: Partition, m: int) -> Frac:
     else:
         rhs = Frac(u.zero())
     return lowered - rhs
-
-
-def lowering_check(mu: Partition, m: int) -> bool:
-    return lowering_diff(mu, m).is_zero()

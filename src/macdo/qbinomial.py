@@ -153,10 +153,6 @@ def qbinom_theorem_diff(alpha: tuple) -> Frac:
     return frac_sum(uu, terms) - rhs
 
 
-def qbinom_theorem_check(alpha: tuple) -> bool:
-    return qbinom_theorem_diff(alpha).is_zero()
-
-
 def chu_vandermonde_diff(alpha: tuple, k: int) -> Frac:
     """First Chu-Vandermonde generalization at weight k.
 
@@ -181,10 +177,6 @@ def chu_vandermonde_diff(alpha: tuple, k: int) -> Frac:
                 den += qpoch_factors(_ratio_base(u, mu[i - 1] - mj + 1, i, j), mj)
         terms.append(Frac.from_factors(num, den))
     return frac_sum(u, terms) - ordinary_qbinom(u, mi_weight(alpha), k)
-
-
-def chu_vandermonde_check(alpha: tuple, k: int) -> bool:
-    return chu_vandermonde_diff(alpha, k).is_zero()
 
 
 def chu_vandermonde2_diff(alpha: tuple, beta: tuple, k: int) -> Frac:
@@ -214,10 +206,6 @@ def chu_vandermonde2_diff(alpha: tuple, beta: tuple, k: int) -> Frac:
     return frac_sum(u, terms) - ordinary_qbinom(u, wa + mi_weight(beta), k)
 
 
-def chu_vandermonde2_check(alpha: tuple, beta: tuple, k: int) -> bool:
-    return chu_vandermonde2_diff(alpha, beta, k).is_zero()
-
-
 def qbinom_product_rule_diff(alpha: tuple, gamma: tuple, beta: tuple) -> Frac:
     """C[a,g] C[g,b] - C[a,b] * C[a-b, a-g](1/q^a x), for b <= g <= a.
 
@@ -234,7 +222,3 @@ def qbinom_product_rule_diff(alpha: tuple, gamma: tuple, beta: tuple) -> Frac:
             for i in range(1, n + 1)}
     rhs = qbinom_x(u, tuple(alpha), tuple(beta)) * inner.subs_monomials(subs)
     return lhs - rhs
-
-
-def qbinom_product_rule_check(alpha: tuple, gamma: tuple, beta: tuple) -> bool:
-    return qbinom_product_rule_diff(alpha, gamma, beta).is_zero()

@@ -5,9 +5,10 @@ phi_alpha  from closed forms: the block operators phi_alpha (signed q-power
 times the generalized q-binomial coefficient) and the block coefficients
 b_alpha (a beta-sum of Pochhammer ratios).  Two independent oracles shadow
 these closed forms: the elimination recurrence rebuilds phi level by level,
-and an interpolation evaluation of the swapped Macdonald operator on the
-Cauchy kernel rebuilds b.  Verification applies B_m to integral forms and
-certifies the image polynomial by exact division before comparing.
+and an interpolation evaluation of the dual-lowered Cauchy kernel
+(1/(y1..ym)) D_y(1;t,q) prod (1+x_i y_j) rebuilds b.  Verification applies
+B_m to integral forms and certifies the image polynomial by exact division
+before comparing.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from math import comb
 
 from .algebra import (Frac, MPoly, NotDivisible, VarUniverse, cauchy_kernel,
                       frac_sum, mp_prod, universe)
-from .macdonald import (QDiffOp, dual_lowering, macdonald_j, macdonald_p,
-                        x_transposition_rename)
+from .macdonald import (QDiffOp, cross_term, dual_lowering, macdonald_j,
+                        macdonald_p, x_transposition_rename)
 from .partitions import (Partition, box_below, memo_per_partition, mi_leq,
                          mi_sub, mi_weight, multi_indices_upto, weak_compositions)
 from .qbinomial import double_poch_factors, interp_assignment, qbinom_x
@@ -213,11 +214,6 @@ def row_raising_op(m: int, n: int) -> QDiffOp:
     return QDiffOp(u, coeffs)
 
 
-def convert_op(op: QDiffOp, target: VarUniverse) -> QDiffOp:
-    return QDiffOp(target, {g: c.convert(target) for g, c in op.coeffs.items()},
-                   op.block, op.shift_var)
-
-
 def raising_diff(m: int, lam, n: int) -> Frac:
     """B_m J_lam minus its contract: J_{(m,lam)} below full length, 0 at it.
 
@@ -241,10 +237,6 @@ def raising_diff(m: int, lam, n: int) -> Frac:
         return img - Frac(target)
 
 
-def raising_check(m: int, lam, n: int) -> bool:
-    return raising_diff(m, lam, n).is_zero()
-
-
 def iterated_build_diff(lam, n: int) -> Frac:
     """B_{lam_1} ... B_{lam_n}.1 - J_lam, applying right to left.
 
@@ -258,15 +250,12 @@ def iterated_build_diff(lam, n: int) -> Frac:
     return Frac(v - macdonald_j(lam, n).as_mpoly())
 
 
-def iterated_build_check(lam, n: int) -> bool:
-    return iterated_build_diff(lam, n).is_zero()
-
-
 @lru_cache(maxsize=None)
 def raising_on_kernel(m: int, n: int) -> Frac:
     """B_m acting in x on the Cauchy kernel prod (1+x_i y_j); memoized per (m, n)."""
     uxy = universe(n, m)
-    return convert_op(row_raising_op(m, n), uxy).apply(cauchy_kernel(uxy))
+    b = QDiffOp(uxy, {g: c.convert(uxy) for g, c in row_raising_op(m, n).coeffs.items()})
+    return b.apply(cauchy_kernel(uxy))
 
 
 @lru_cache(maxsize=None)
@@ -278,10 +267,6 @@ def lowered_kernel(m: int, n: int) -> Frac:
 def key_identity_diff(m: int, n: int) -> Frac:
     """Difference of B_x prod(1+x_i y_j) and (1/(y1..ym)) D_y(1;t,q) of it."""
     return raising_on_kernel(m, n) - lowered_kernel(m, n)
-
-
-def key_identity_check(m: int, n: int) -> bool:
-    return key_identity_diff(m, n).is_zero()
 
 
 def degree_bound_check(m: int, n: int) -> bool:
@@ -317,15 +302,6 @@ def equivariance_check(op: QDiffOp) -> bool:
 
 def order_bound_check(op: QDiffOp, m: int) -> bool:
     return all(mi_weight(g) <= m for g in op.coeffs)
-
-
-def polynomial_image_check(m: int, n: int, f: MPoly) -> bool:
-    """The raising operator maps this polynomial to a certified polynomial."""
-    try:
-        row_raising_op(m, n).apply(f).as_poly()
-    except NotDivisible:
-        return False
-    return True
 
 
 # -- the Hall-Littlewood specialization ----------------------------------------------
@@ -372,23 +348,12 @@ def hall_littlewood_apply(m: int, f: MPoly) -> Frac:
     u = f.u
     n = u.n_x
     terms = []
-    for i in range(1, n + 1):
-        fi = f.coeff_of({"x%d" % i: 0})
+    for i in range(n):
+        fi = f.coeff_of({"x%d" % (i + 1): 0})
         if fi.is_zero():
             continue
-        num = u.one()
-        bag = {}
-        sign = 1
-        for j in range(1, n + 1):
-            if j == i:
-                continue
-            num = num * (u.x(i) - u.x(j).mono_mul(1, {"t": 1}))
-            lo, hi = min(i, j), max(i, j)
-            fac = u.x(lo) - u.x(hi)
-            bag[fac] = bag.get(fac, 0) + 1
-            if j < i:
-                sign = -sign
-        num = num.mono_mul(sign, {"x%d" % i: m}) * (u.one() - u.gen("t")) * fi
+        num, bag = cross_term(u, [j for j in range(n) if j != i], [i])
+        num = num.mono_mul(1, {"x%d" % (i + 1): m}) * (u.one() - u.gen("t")) * fi
         terms.append(Frac(num, bag))
     return frac_sum(u, terms)
 

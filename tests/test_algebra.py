@@ -85,6 +85,42 @@ def test_packed_exponent_range_is_enforced():
         u.mono(1, {"t": 2 ** 27})
 
 
+def test_qshift_refuses_packed_overflow():
+    u = universe(2)
+    top, bottom = 2 ** 27 - 1, -2 ** 27
+    f = u.mono(1, {"q": top - 2, "x1": 1}) + u.mono(1, {"t": top, "x2": 1})
+    assert f.qshift((2, 1)) == (u.mono(1, {"q": top, "x1": 1}) +
+                                u.mono(1, {"q": 1, "t": top, "x2": 1}))
+    with pytest.raises(ValueError):
+        f.qshift((3, 0))
+    g = u.mono(1, {"q": bottom + 1, "x2": -1})
+    assert g.qshift((0, 1)) == u.mono(1, {"q": bottom, "x2": -1})
+    with pytest.raises(ValueError):
+        g.qshift((0, 2))
+
+
+def test_mono_mul_refuses_packed_overflow():
+    u = universe(2)
+    f = u.mono(1, {"q": 2 ** 26, "t": 2 ** 27 - 1, "x1": -2 ** 27}) + u.one()
+    assert f.mono_mul(-1, {"q": 2 ** 26 - 1}) == \
+        u.mono(-1, {"q": 2 ** 27 - 1, "t": 2 ** 27 - 1, "x1": -2 ** 27}) + \
+        u.mono(-1, {"q": 2 ** 26 - 1})
+    for exps in ({"q": 2 ** 26}, {"t": 1}, {"x1": -1}):
+        with pytest.raises(ValueError):
+            f.mono_mul(1, exps)
+
+
+def test_laurent_shift_refuses_packed_overflow():
+    u = universe(1, 2)
+    f = u.mono(1, {"y1": 2 ** 27 - 1}) + u.y(2)
+    g = f.laurent_shift({"y2": -2 ** 27})
+    assert sorted(g.u.exp_of(k, "y2") for k in g.terms) == [-2 ** 27, 1 - 2 ** 27]
+    assert all(g.u.exp_of(k, "y1") in (0, 2 ** 27 - 1) for k in g.terms)
+    for deltas in ({"y1": 1}, {"y2": -2 ** 27 - 1}):
+        with pytest.raises(ValueError):
+            f.laurent_shift(deltas)
+
+
 def test_universe_of_names_accepts_only_the_canonical_list():
     for u in (universe(1), universe(2, 1, u=True), U):
         assert universe_of_names(list(u.names)) == u

@@ -1,5 +1,8 @@
 """Raising operator assembly, its oracles, and the verification machinery."""
 
+import itertools
+from math import comb
+
 import pytest
 
 from macdo.algebra import Frac, universe
@@ -8,14 +11,13 @@ from macdo.partitions import Partition, weak_compositions
 from macdo.raising import (block_coeff, block_coeff_interp, degree_bound_check,
                            equivariance_check, hall_littlewood_apply,
                            hall_littlewood_p, hall_littlewood_raising_check,
-                           hall_littlewood_raising_scalar, iterated_build_check,
-                           key_identity_check, key_identity_diff, ladder_f_closed,
-                           ladder_f_paths, ladder_g, ladder_inverse_check,
-                           limit_q0, lowered_kernel, order_bound_check,
-                           polynomial_image_check, raising_block,
-                           raising_block_entry, raising_block_recurrence,
-                           raising_check, raising_on_kernel, recurrence_weight,
-                           row_raising_op)
+                           hall_littlewood_raising_scalar, iterated_build_diff,
+                           key_identity_diff, ladder_f_closed, ladder_f_paths,
+                           ladder_g, ladder_inverse_check, limit_q0, lowered_kernel,
+                           order_bound_check, raising_block, raising_block_entry,
+                           raising_block_recurrence, raising_diff, raising_on_kernel,
+                           recurrence_weight, row_raising_op)
+from macdo.serialize import poly_to_obj
 
 U1 = universe(1)
 U2 = universe(2)
@@ -96,30 +98,31 @@ def test_raising_property_examples():
     u = universe(1)
     img = row_raising_op(1, 1).apply(u.one())
     assert img.eq(Frac(macdonald_j(Partition((1,)), 1).as_mpoly()))
-    assert raising_check(1, Partition(()), 1)
-    assert raising_check(1, Partition((1,)), 1)  # length n: image vanishes
-    assert raising_check(2, Partition(()), 2)
-    assert raising_check(2, Partition((1,)), 2)
+    assert raising_diff(1, Partition(()), 1).is_zero()
+    assert raising_diff(1, Partition((1,)), 1).is_zero()  # length n: image vanishes
+    assert raising_diff(2, Partition(()), 2).is_zero()
+    assert raising_diff(2, Partition((1,)), 2).is_zero()
     with pytest.raises(ValueError):
-        raising_check(1, Partition((2,)), 2)  # first row exceeds m
+        raising_diff(1, Partition((2,)), 2)  # first row exceeds m
 
 
 def test_image_polynomiality_certified():
-    assert polynomial_image_check(1, 2, macdonald_j(Partition((1,)), 2).as_mpoly())
-    assert polynomial_image_check(2, 2, macdonald_j(Partition((2,)), 2).as_mpoly())
+    # as_poly raises NotDivisible unless the image is a certified polynomial
+    row_raising_op(1, 2).apply(macdonald_j(Partition((1,)), 2).as_mpoly()).as_poly()
+    row_raising_op(2, 2).apply(macdonald_j(Partition((2,)), 2).as_mpoly()).as_poly()
 
 
 def test_iterated_build_examples():
-    assert iterated_build_check(Partition(()), 2)
-    assert iterated_build_check(Partition((2, 1)), 2)
-    assert iterated_build_check(Partition((1, 1)), 3)
+    assert iterated_build_diff(Partition(()), 2).is_zero()
+    assert iterated_build_diff(Partition((2, 1)), 2).is_zero()
+    assert iterated_build_diff(Partition((1, 1)), 3).is_zero()
 
 
 def test_key_identity_examples():
-    assert key_identity_check(0, 2)
-    assert key_identity_check(1, 1)
-    assert key_identity_check(1, 2)
-    assert key_identity_check(2, 2)
+    assert key_identity_diff(0, 2).is_zero()
+    assert key_identity_diff(1, 1).is_zero()
+    assert key_identity_diff(1, 2).is_zero()
+    assert key_identity_diff(2, 2).is_zero()
 
 
 def test_degree_bound_examples():
@@ -135,6 +138,58 @@ def test_kernel_images_are_built_once_per_pair():
     assert degree_bound_check(1, 2)
     assert raising_on_kernel.cache_info().misses == 1
     assert lowered_kernel.cache_info().misses == 1
+
+
+ORACLE_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2))
+
+
+def _sympy_poly(sp, obj):
+    """A macdo polynomial, read from its serialized form, as a sympy expression."""
+    names = sp.symbols(obj["vars"])
+    return sp.Add(*(int(tm["c"]) * sp.Mul(*(v ** e for v, e in zip(names, tm["e"])))
+                    for tm in obj["terms"]))
+
+
+def _sympy_frac(sp, fr):
+    den = sp.Mul(*(_sympy_poly(sp, poly_to_obj(f)) ** mult for f, mult in fr.bag))
+    return _sympy_poly(sp, poly_to_obj(fr.num)) / den
+
+
+def _sympy_dual_operator_on_kernel(sp, m, n):
+    """D_y(1;t,q) prod (1 + x_i y_j) built in sympy alone, and y1..ym.
+
+    The image is sum_K (-1)^|K| q^C(|K|,2) prod_{i in K, j not in K}
+    (y_j - q y_i)/(y_j - y_i) times the kernel with y_i -> t y_i for i in K.
+    """
+    q, t = sp.symbols("q t")
+    xs = sp.symbols(["x%d" % i for i in range(1, n + 1)])
+    ys = sp.symbols(["y%d" % j for j in range(1, m + 1)])
+    total = 0
+    for bits in itertools.product((0, 1), repeat=m):
+        K = [i for i in range(m) if bits[i]]
+        rest = [j for j in range(m) if not bits[j]]
+        coeff = (-1) ** len(K) * q ** comb(len(K), 2)
+        for i in K:
+            for j in rest:
+                coeff *= (ys[j] - q * ys[i]) / (ys[j] - ys[i])
+        shifted = [t * y if b else y for y, b in zip(ys, bits)]
+        total += coeff * sp.Mul(*(1 + x * y for x in xs for y in shifted))
+    return total, sp.Mul(*ys)
+
+
+def test_lowered_kernel_matches_an_independent_sympy_construction():
+    sp = pytest.importorskip("sympy")
+    for m, n in ORACLE_PAIRS:
+        image, ys = _sympy_dual_operator_on_kernel(sp, m, n)
+        assert sp.cancel(_sympy_frac(sp, lowered_kernel(m, n)) - image / ys) == 0, (m, n)
+
+
+def test_sympy_kernel_oracle_rejects_the_unlowered_image():
+    # negative control: the same comparison without the division by y1..ym
+    sp = pytest.importorskip("sympy")
+    for m, n in ORACLE_PAIRS:
+        image, _ = _sympy_dual_operator_on_kernel(sp, m, n)
+        assert sp.cancel(_sympy_frac(sp, lowered_kernel(m, n)) - image) != 0, (m, n)
 
 
 def test_limit_q0():
@@ -155,7 +210,8 @@ def test_hall_littlewood_p_values():
     assert hall_littlewood_p(Partition((1,)), 2) == u.x(1) + u.x(2)
     p2 = hall_littlewood_p(Partition((2,)), 2)
     # P_(2)(x; 0, t) = m_2 + (1 - t) m_11
-    assert p2 == u.x(1) ** 2 + u.x(2) ** 2 + (one - t) * u.x(1) * u.x(2)
+    x1, x2 = u.x(1), u.x(2)
+    assert p2 == x1 * x1 + x2 * x2 + (one - t) * x1 * x2
 
 
 def test_hall_littlewood_apply_basic():
