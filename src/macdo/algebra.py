@@ -514,6 +514,13 @@ def mp_prod(u: VarUniverse, polys) -> MPoly:
     return out
 
 
+def _has_x(p: MPoly) -> bool:
+    """True when some term of p carries a nonzero x exponent."""
+    u = p.u
+    shifts = u._shift[u._x0:u._y0]
+    return any(((k >> s) & _MASK) != _B for k in p.terms for s in shifts)
+
+
 def cauchy_kernel(u: VarUniverse) -> MPoly:
     """The dual Cauchy kernel prod_{i,j} (1 + x_i y_j) over every x and y of u."""
     return mp_prod(u, (u.one() + u.x(i) * u.y(j)
@@ -637,10 +644,24 @@ def _div_binomial(num: MPoly, den: MPoly):
         if f > fmax:
             fmax = f
     budget = (fmax - fmin) // step + 2
-    groups: dict = {}
-    for k in num.terms:
-        groups.setdefault(k % d, []).append(k)
     terms = num.terms
+    # a failing division mostly fails on the chain of the leading term:
+    # walk that chain first, so such a failure skips the grouping pass
+    pos, carry, left = max(terms), 0, budget
+    while True:
+        a = carry + terms.get(pos, 0)
+        if a % c1:
+            return None
+        carry = -(a // c1) * c2
+        if not carry:
+            break
+        left -= 1
+        if left < 0:
+            return None
+        pos -= d
+    groups: dict = {}
+    for k in terms:
+        groups.setdefault(k % d, []).append(k)
     qu = {}
     for keys in groups.values():
         keys.sort(reverse=True)
@@ -732,13 +753,32 @@ class Frac:
         return cls(num, {den: 1})
 
     @classmethod
-    def from_factors(cls, num: MPoly, factors) -> "Frac":
+    def from_factors(cls, u: VarUniverse, num_factors, den_factors) -> "Frac":
+        """prod(num_factors) / prod(den_factors), shared x-factors cancelled.
+
+        A factor that contains an x variable and appears in both lists is
+        dropped from both, up to the smaller multiplicity, before the
+        numerator is expanded: a multiset difference of identical
+        polynomials, no division.  Such a factor 1 - t^e q^c x_i/x_j has a
+        primitive exponent vector, so it is irreducible and prime to every
+        bag factor that is not a unit multiple of it; ``shrink`` leaves it at
+        its pole order however many copies came in, and cancelling it here
+        changes no fraction that ``shrink`` returns.  Factors without x
+        (1 - q^k, 1 + t, ...) are never cancelled: the 1 - q^k share
+        cyclotomic factors, so which of them ``shrink`` keeps depends on the
+        bag they arrive in.
+        """
         bag = {}
-        for f in factors:
-            if f.is_one():
-                continue
-            bag[f] = bag.get(f, 0) + 1
-        return cls(num, bag)
+        for f in den_factors:
+            if not f.is_one():
+                bag[f] = bag.get(f, 0) + 1
+        num = []
+        for f in num_factors:
+            if bag.get(f) and _has_x(f):
+                bag[f] -= 1
+            else:
+                num.append(f)
+        return cls(mp_prod(u, num), {f: m for f, m in bag.items() if m})
 
     @property
     def den(self) -> MPoly:
@@ -887,9 +927,11 @@ def frac_sum(u: VarUniverse, terms, *, cancel: bool = False) -> Frac:
     Only :meth:`macdonald.QDiffOp.apply` cancels, and the reason is speed.
     The B_m build keeps the plain merge because its cancelled coefficients
     carry bags that make every later application of B_m slower (it would
-    also change the bytes ``operator --format json`` writes).  The P solve
-    and the other sums keep it only until a benchmark shows that cancelling
-    there pays; their output bytes would not change.
+    also change the bytes ``operator --format json`` writes).  The terms of
+    the q-binomial and b_alpha sums already arrive with their shared
+    x-dependent factors cancelled (:meth:`Frac.from_factors`); cancelling in
+    the P solve and the other sums as well gained nothing measurable on top
+    of that, so they keep the plain merge.
     """
     items = []
     for tm in terms:

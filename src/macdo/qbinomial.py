@@ -60,17 +60,20 @@ def ordinary_qbinom(u: VarUniverse, l: int, k: int) -> MPoly:
 
 @lru_cache(maxsize=None)
 def qbinom_x(u: VarUniverse, alpha: tuple, beta: tuple) -> Frac:
-    """The generalized coefficient C[alpha,beta](x), unreduced.
+    """The generalized coefficient C[alpha,beta](x).
 
     prod_{i,j} (q^{alpha_i-beta_j+1} x_i/x_j)_{beta_j}
              / (q^{beta_i-beta_j+1} x_i/x_j)_{beta_j}
+
+    with the x-dependent factors both sides share cancelled
+    (:meth:`Frac.from_factors`); the rest stays unreduced.
     """
     n = u.n_x
     if len(alpha) != n or len(beta) != n:
         raise ValueError("multi-index length must match the universe")
     if not mi_leq(beta, alpha):
         raise ValueError("need beta <= alpha componentwise")
-    return Frac.from_factors(mp_prod(u, double_poch_factors(u, alpha, beta)),
+    return Frac.from_factors(u, double_poch_factors(u, alpha, beta),
                              double_poch_factors(u, beta, beta))
 
 
@@ -166,16 +169,16 @@ def chu_vandermonde_diff(alpha: tuple, k: int) -> Frac:
     for mu in weak_compositions(k, n):
         if not mi_leq(mu, alpha):
             continue
-        num = mp_prod(u, (ordinary_qbinom(u, alpha[j], mu[j]) for j in range(n)))
+        num = [ordinary_qbinom(u, alpha[j], mu[j]) for j in range(n)]
         den = []
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 if i == j:
                     continue
                 mj = mu[j - 1]
-                num = num * qpoch(_ratio_base(u, alpha[i - 1] - mj + 1, i, j), mj)
+                num += qpoch_factors(_ratio_base(u, alpha[i - 1] - mj + 1, i, j), mj)
                 den += qpoch_factors(_ratio_base(u, mu[i - 1] - mj + 1, i, j), mj)
-        terms.append(Frac.from_factors(num, den))
+        terms.append(Frac.from_factors(u, num, den))
     return frac_sum(u, terms) - ordinary_qbinom(u, mi_weight(alpha), k)
 
 

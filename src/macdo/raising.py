@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import comb
 
 from .algebra import (Frac, MPoly, NotDivisible, VarUniverse, cauchy_kernel,
-                      frac_sum, mp_prod, universe)
+                      frac_sum, universe)
 from .macdonald import (QDiffOp, cross_term, dual_lowering, macdonald_j,
                         macdonald_p, x_transposition_rename)
 from .partitions import (Partition, box_below, memo_per_partition, mi_leq,
@@ -164,9 +164,8 @@ def block_coeff(u: VarUniverse, m: int, alpha: tuple) -> Frac:
                        double_poch_factors(u, alpha, alpha, k=rest))
         if any(f.is_zero() for f in num_factors):
             continue
-        num = mp_prod(u, num_factors)
-        num = num.mono_mul((-1) ** (m - wb), {"q": comb(wb, 2)})
-        terms.append(Frac.from_factors(num, den_factors))
+        c = Frac.from_factors(u, num_factors, den_factors)
+        terms.append(c * u.mono((-1) ** (m - wb), {"q": comb(wb, 2)}))
     pref = {"q": sum(comb(a, 2) for a in alpha)}
     pref.update({"x%d" % i: a for i, a in enumerate(alpha, start=1) if a})
     return (frac_sum(u, terms) * u.mono(1, pref)).shrink()

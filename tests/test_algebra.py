@@ -220,17 +220,63 @@ def test_frac_sum_matches_pairwise():
 
 
 def test_as_poly_certifies():
-    f = Frac.from_factors((ONE - Q * Q) * (X1 - X2), [ONE - Q])
+    f = Frac.from_factors(U, [(ONE - Q * Q) * (X1 - X2)], [ONE - Q])
     assert f.as_poly() == (ONE + Q) * (X1 - X2)
     with pytest.raises(NotDivisible):
         Frac.over(X1 + Q, X1 + T).as_poly()
 
 
 def test_shrink_preserves_value():
-    f = Frac.from_factors((ONE - Q * Q) * (ONE + T), [ONE - Q, ONE + T, X1 - X2])
+    f = Frac.from_factors(U, [(ONE - Q * Q) * (ONE + T)], [ONE - Q, ONE + T, X1 - X2])
     g = f.shrink()
     assert g.eq(f)
     assert sum(m for _, m in g.bag) == 1  # only the x factor resists
+
+
+def test_from_factors_cancels_only_shared_x_factors():
+    qx = ONE - U.mono(1, {"q": 1, "x1": 1, "x2": -1})
+    f = Frac.from_factors(U, [X1 - X2, qx, ONE + X1], [X1 - X2, qx, qx])
+    assert f.num == ONE + X1
+    assert f.bag == ((qx, 1),)
+    # factors without x stay on both sides
+    for c in (ONE - Q * Q, ONE + T):
+        g = Frac.from_factors(U, [c, X1 - X2], [c, X1 - X2])
+        assert g.num == c
+        assert g.bag == ((c, 1),)
+
+
+def test_binomial_division_property():
+    # exact quotients with negative Laurent exponents, and numerators that a
+    # binomial cannot divide because a monomial sits above the top key or
+    # below the bottom key (a monomial is a unit, a binomial is not)
+    rng = random.Random(8128)
+    u = universe(3)
+    one = u.one()
+
+    def mono(exps):
+        return u.mono(rng.choice((-3, -2, -1, 1, 2, 3)), exps)
+
+    def laurent():
+        return mp_sum(u, (mono({"q": rng.randint(-4, 4), "t": rng.randint(0, 2),
+                                "x1": rng.randint(-3, 3), "x2": rng.randint(-3, 3),
+                                "x3": rng.randint(-3, 3)})
+                          for _ in range(rng.randint(1, 8))))
+
+    for _ in range(300):
+        i, j = rng.sample(("x1", "x2", "x3"), 2)
+        f = rng.choice((one - u.mono(1, {"q": rng.randint(-3, 3), i: 1, j: -1}),
+                        u.gen(i) - u.gen(j),
+                        one - u.mono(1, {"q": rng.randint(1, 4)})))
+        a = laurent()
+        if a.is_zero():
+            continue
+        af = a * f
+        assert try_div(af, f) == a
+        for key, dq in ((max(af.terms), rng.randint(1, 3)),
+                        (min(af.terms), -rng.randint(1, 3))):
+            exps = dict(zip(u.names, u.unpack(key)))
+            exps["q"] += dq
+            assert try_div(af + mono(exps), f) is None
 
 
 def test_laurent_restrictions():

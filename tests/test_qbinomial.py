@@ -1,12 +1,15 @@
 """The x-dependent q-binomial coefficient and its identity family."""
 
+from collections import Counter
+
 import pytest
 
-from macdo.algebra import Frac, universe
+from macdo.algebra import Frac, mp_prod, universe
 from macdo.partitions import box_below, weak_compositions
 from macdo.qbinomial import (chu_vandermonde2_diff, chu_vandermonde_diff,
-                             interp_product_eval, interp_point, ordinary_qbinom,
-                             qbinom_product_rule_diff, qbinom_theorem_diff, qbinom_x)
+                             double_poch_factors, interp_product_eval, interp_point,
+                             ordinary_qbinom, qbinom_product_rule_diff,
+                             qbinom_theorem_diff, qbinom_x)
 
 U1 = universe(1)
 U2 = universe(2)
@@ -34,6 +37,18 @@ def test_qbinom_x_degenerate_ends():
         assert qbinom_x(u, alpha, alpha).eq(Frac(u.one()))
     with pytest.raises(ValueError):
         qbinom_x(U2, (1, 0), (0, 1))
+
+
+def test_qbinom_x_agrees_with_the_uncancelled_construction():
+    # the full double products over each other, with no factor cancelled
+    for n in (1, 2, 3):
+        u = universe(n)
+        for w in range(5):
+            for alpha in weak_compositions(w, n):
+                for beta in box_below(alpha):
+                    plain = Frac(mp_prod(u, double_poch_factors(u, alpha, beta)),
+                                 Counter(double_poch_factors(u, beta, beta)))
+                    assert qbinom_x(u, alpha, beta).eq(plain), (alpha, beta)
 
 
 def test_interp_point_examples():

@@ -7,7 +7,8 @@ import pytest
 
 from macdo.algebra import Frac, universe
 from macdo.macdonald import macdonald_j, macdonald_p
-from macdo.partitions import Partition, weak_compositions
+from macdo.partitions import Partition, box_below, weak_compositions
+from macdo.qbinomial import qbinom_x
 from macdo.raising import (block_coeff, block_coeff_interp, degree_bound_check,
                            equivariance_check, hall_littlewood_apply,
                            hall_littlewood_p, hall_littlewood_raising_check,
@@ -190,6 +191,49 @@ def test_sympy_kernel_oracle_rejects_the_unlowered_image():
     for m, n in ORACLE_PAIRS:
         image, _ = _sympy_dual_operator_on_kernel(sp, m, n)
         assert sp.cancel(_sympy_frac(sp, lowered_kernel(m, n)) - image) != 0, (m, n)
+
+
+def _sympy_qbinom_x(sp, alpha, beta, lift=0):
+    """C[alpha,beta] built in sympy alone; ``lift`` raises the numerator's q power.
+
+    prod_{i,j} (q^{alpha_i-beta_j+1} x_i/x_j; q)_{beta_j}
+             / prod_{i,j} (q^{beta_i-beta_j+1} x_i/x_j; q)_{beta_j}
+    """
+    q = sp.Symbol("q")
+    xs = sp.symbols(["x%d" % i for i in range(1, len(alpha) + 1)])
+
+    def double_poch(a, c):
+        return sp.Mul(*(1 - q ** (a[i] - beta[j] + c + nu) * xs[i] / xs[j]
+                        for i in range(len(a)) for j in range(len(a))
+                        for nu in range(beta[j])))
+    return double_poch(alpha, 1 + lift) / double_poch(beta, 1)
+
+
+# n <= 2 with |alpha| <= 3 and n = 3 with |alpha| <= 2: 73 pairs, 49 with beta != 0
+QBINOM_ORACLE_PAIRS = [(alpha, beta) for n, top in ((1, 3), (2, 3), (3, 2))
+                       for w in range(top + 1) for alpha in weak_compositions(w, n)
+                       for beta in box_below(alpha)]
+
+
+def test_qbinom_x_matches_an_independent_sympy_construction():
+    sp = pytest.importorskip("sympy")
+    assert len(QBINOM_ORACLE_PAIRS) == 73
+    for alpha, beta in QBINOM_ORACLE_PAIRS:
+        c = qbinom_x(universe(len(alpha)), alpha, beta)
+        assert sp.cancel(_sympy_frac(sp, c) - _sympy_qbinom_x(sp, alpha, beta)) == 0, \
+            (alpha, beta)
+
+
+def test_sympy_qbinom_oracle_rejects_a_shifted_numerator():
+    # negative control: raising the numerator's q exponent by 1 changes every
+    # C[alpha,beta] with beta != 0
+    sp = pytest.importorskip("sympy")
+    pairs = [(a, b) for a, b in QBINOM_ORACLE_PAIRS if any(b)]
+    assert len(pairs) == 49
+    for alpha, beta in pairs:
+        c = qbinom_x(universe(len(alpha)), alpha, beta)
+        assert sp.cancel(_sympy_frac(sp, c) - _sympy_qbinom_x(sp, alpha, beta, 1)) != 0, \
+            (alpha, beta)
 
 
 def test_limit_q0():
