@@ -620,10 +620,13 @@ def _div_binomial(num: MPoly, den: MPoly):
     """Exact division by a two-term divisor via chain-walk synthetic division.
 
     Terms of the numerator split into chains along the divisor's exponent
-    step; each chain is divided independently in linear time, carrying the
-    correction term downward.  A chain of an exact quotient can visit at
-    most span/step positions, so walks are cut off by a step budget; integer
-    key arithmetic stays faithful to exponent vectors within that budget.
+    step.  One walk runs down each chain in linear time, carrying the
+    correction term, and stops where the carry cancels.  Walks start at the
+    keys in descending order, the leading chain first, so that a division
+    failing there fails before any sort; a walk consumes every key it
+    passes.  A chain of an exact quotient can visit at most span/step
+    positions, so walks are cut off by a step budget; integer key arithmetic
+    stays faithful to exponent vectors within that budget.
     """
     u = num.u
     k1, k2 = sorted(den.terms, reverse=True)
@@ -644,56 +647,32 @@ def _div_binomial(num: MPoly, den: MPoly):
         if f > fmax:
             fmax = f
     budget = (fmax - fmin) // step + 2
-    terms = num.terms
-    # a failing division mostly fails on the chain of the leading term:
-    # walk that chain first, so such a failure skips the grouping pass
-    pos, carry, left = max(terms), 0, budget
-    while True:
-        a = carry + terms.get(pos, 0)
-        if a % c1:
-            return None
-        carry = -(a // c1) * c2
-        if not carry:
-            break
-        left -= 1
-        if left < 0:
-            return None
-        pos -= d
-    groups: dict = {}
-    for k in terms:
-        groups.setdefault(k % d, []).append(k)
+    rest = dict(num.terms)
     qu = {}
-    for keys in groups.values():
-        keys.sort(reverse=True)
-        idx = 0
-        npos = len(keys)
-        while idx < npos:
-            pos = keys[idx]
-            carry = 0
-            left = budget
-            while True:
-                if idx < npos and keys[idx] == pos:
-                    idx += 1
-                a = carry + terms.get(pos, 0)
-                if a:
-                    if a % c1:
-                        return None
-                    cq = a // c1
-                    qu[pos - k1 + base] = cq
-                    carry = -cq * c2
-                else:
-                    carry = 0
-                if carry:
-                    left -= 1
-                    if left < 0:
-                        return None
-                    pos -= d
-                elif idx < npos:
-                    pos = keys[idx]
-                    left = budget
-                else:
-                    break
+    for pos in _walk_starts(rest):
+        if pos not in rest:
+            continue
+        carry, left = 0, budget
+        while True:
+            a = carry + rest.pop(pos, 0)
+            if a % c1:
+                return None
+            cq = a // c1
+            if not cq:
+                break
+            qu[pos - k1 + base] = cq
+            carry = -cq * c2
+            left -= 1
+            if left < 0:
+                return None
+            pos -= d
     return MPoly(u, qu)
+
+
+def _walk_starts(keys):
+    """The leading key, then the keys left after its walk, sorted descending."""
+    yield max(keys)
+    yield from sorted(keys, reverse=True)
 
 
 def div_exact(num: MPoly, den: MPoly) -> MPoly:
@@ -839,23 +818,8 @@ class Frac:
     # -- comparison and certification -------------------------------------------
 
     def eq(self, other) -> bool:
-        """Semantic equality by cross-multiplication (common factors cancel)."""
-        other = as_frac(self.u, other)
-        a, b = self._bagdict(), other._bagdict()
-        lhsf, rhsf = [], []
-        for f in set(a) | set(b):
-            d = a.get(f, 0) - b.get(f, 0)
-            if d > 0:
-                rhsf += [f] * d
-            elif d < 0:
-                lhsf += [f] * (-d)
-        lhs = self.num
-        for f in lhsf:
-            lhs = lhs * f
-        rhs = other.num
-        for f in rhsf:
-            rhs = rhs * f
-        return lhs == rhs
+        """Semantic equality: the difference, over the union bag, is zero."""
+        return (self - other).is_zero()
 
     def as_poly(self) -> MPoly:
         """Certify that the denominator divides the numerator; exact quotient."""

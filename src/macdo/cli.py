@@ -152,9 +152,13 @@ def cmd_verify(args) -> int:
         print("error: no %s cases within these limits" % args.suite, file=sys.stderr)
         return 2
     check_limits(m=max(_operator_weight(c) for c in cases), unsafe=args.unsafe_limits)
-    reports, ok = run_cases(cases, shuffle_seed=args.seed)
-    stream = _out_stream(args.out)
     try:
+        stream = _out_stream(args.out)
+    except OSError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
+    try:
+        reports, ok = run_cases(cases, shuffle_seed=args.seed)
         for rec in reports:
             rec = {k: v for k, v in rec.items() if k != "ms"}
             stream.write(json.dumps(rec, sort_keys=True) + "\n")

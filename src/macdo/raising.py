@@ -321,17 +321,7 @@ def limit_q0(fr: Frac) -> Frac:
         raise ZeroDivisionError("pole at q = 0")
     if a > b:
         return Frac(u.zero())
-    return Frac.over(_q_slice(num, a), _q_slice(den, b))
-
-
-def _q_slice(p: MPoly, e: int) -> MPoly:
-    """Terms of exact q-exponent e, with the q field cleared."""
-    u = p.u
-    out = {}
-    for k, c in p.terms.items():
-        if u.exp_of(k, "q") == e:
-            out[k - (e << u._shift[u.pos("q")]) ] = c
-    return MPoly(u, out)
+    return Frac.over(num.coeff_of({"q": a}), den.coeff_of({"q": b}))
 
 
 @memo_per_partition

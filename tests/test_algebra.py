@@ -247,11 +247,16 @@ def test_from_factors_cancels_only_shared_x_factors():
 
 def test_binomial_division_property():
     # exact quotients with negative Laurent exponents, and numerators that a
-    # binomial cannot divide because a monomial sits above the top key or
-    # below the bottom key (a monomial is a unit, a binomial is not)
+    # binomial cannot divide because a monomial sits above the top key, below
+    # the bottom key or on an interior key (a monomial is a unit, a binomial
+    # is not).  Every draw is also divided through the general (heap) path,
+    # by multiplying numerator and divisor by an h in t alone: none of the
+    # divisors contains t, so f*h has more than two terms.
     rng = random.Random(8128)
     u = universe(3)
     one = u.one()
+    t = u.gen("t")
+    h = one + t + t * t
 
     def mono(exps):
         return u.mono(rng.choice((-3, -2, -1, 1, 2, 3)), exps)
@@ -272,11 +277,17 @@ def test_binomial_division_property():
             continue
         af = a * f
         assert try_div(af, f) == a
-        for key, dq in ((max(af.terms), rng.randint(1, 3)),
-                        (min(af.terms), -rng.randint(1, 3))):
+        assert try_div(af * h, f * h) == a
+        keys = sorted(af.terms)
+        bumps = [(keys[-1], rng.randint(1, 3)), (keys[0], -rng.randint(1, 3))]
+        if len(keys) > 2:
+            bumps.append((rng.choice(keys[1:-1]), 0))
+        for key, dq in bumps:
             exps = dict(zip(u.names, u.unpack(key)))
             exps["q"] += dq
-            assert try_div(af + mono(exps), f) is None
+            g = af + mono(exps)
+            assert try_div(g, f) is None
+            assert try_div(g * h, f * h) is None
 
 
 def test_laurent_restrictions():

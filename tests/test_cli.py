@@ -190,6 +190,21 @@ def test_verify_out_file(tmp_path, capsys):
     assert lines and all(json.loads(ln)["pass"] for ln in lines)
 
 
+def test_verify_out_into_a_missing_directory_runs_no_case(monkeypatch, tmp_path, capsys):
+    from macdo import cli as cli_mod
+
+    def no_run(*a, **k):
+        raise AssertionError("a case ran before the output was opened")
+
+    monkeypatch.setattr(cli_mod, "run_cases", no_run)
+    missing = tmp_path / "missing" / "r.jsonl"
+    code, out, err = run_cli(capsys, "verify", "--suite", "hl", "--m", "1", "--n", "1",
+                             "--max-weight", "0", "--out", str(missing))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_golden_roundtrip_tamper_and_missing(tmp_path, capsys):
     target = tmp_path / "golden"
     code, _, _ = run_cli(capsys, "golden", "write", str(target))
