@@ -7,8 +7,8 @@ packed into a single integer (28 bits per variable, offset so that negative
 exponents pack monotonically), which makes monomial multiplication a single
 integer addition and makes the canonical term order (lexicographic on the
 fixed variable order q, t, u, x1.., y1.., exponents compared high-to-low)
-plain integer comparison of keys.  The constructors and the shifts
-(``qshift``, ``mono_mul``, ``laurent_shift``) reject an exponent outside
+plain integer comparison of keys.  The constructors, the shifts (``qshift``,
+``mono_mul``) and ``subs_monomials`` reject an exponent outside
 [-2^27, 2^27) rather than let it spill into the next field; ``MPoly.__mul__``
 adds keys unchecked, because a check per term product would cost more than
 the product.
@@ -16,14 +16,13 @@ the product.
 Fractions carry their denominator as a multiset of polynomial factors and
 are never reduced to lowest terms.  Equality is decided by
 cross-multiplication, and "this fraction is actually a polynomial" is
-certified by exact trial division.  No GCD, no factorization, no floating
-point.
+certified by exact trial division: one loop (``_divide_out``) divides bag
+factors out of a numerator for ``Frac.shrink``, ``Frac.as_poly`` and the
+cancelling ``frac_sum``.  No GCD, no factorization, no floating point.
 
 Negative exponents are legal for q and the x variables only; building a
 value with a negative exponent on t, u or y through the public constructors
-raises.  The one sanctioned exception is :meth:`MPoly.laurent_shift`, used
-to divide by the monomial y1*...*ym transiently inside
-:func:`macdonald.dual_lowering`.
+raises.
 """
 
 from __future__ import annotations
@@ -102,9 +101,6 @@ class VarUniverse:
             return self._pos[name]
         except KeyError:
             raise KeyError("no variable %r in %r" % (name, self)) from None
-
-    def exp_of(self, key: int, name: str) -> int:
-        return ((key >> self._shift[self._pos[name]]) & _MASK) - _B
 
     def _check_exps(self, exps):
         for e, lau, nm in zip(exps, self._laurent, self.names):
@@ -317,6 +313,15 @@ class MPoly:
             raise ValueError("shifting %s by %d overflows its %d-bit packed field"
                              % (name, e, _W))
 
+    def _exps_within(self, bits: int) -> bool:
+        """True when every exponent of every term lies in [-2^bits, 2^bits)."""
+        # subtracting B - 2^bits from each field maps those exponents to
+        # [0, 2^(bits+1)) without a borrow; any other exponent sets a higher bit
+        sh = self.u._shift
+        lo = sum((_B - (1 << bits)) << s for s in sh)
+        high = sum((_MASK >> (bits + 1) << (bits + 1)) << s for s in sh)
+        return not any((k - lo) & high for k in self.terms)
+
     def _min_vec(self):
         mins = [_MASK] * self.u.nvars
         for k in self.terms:
@@ -348,27 +353,20 @@ class MPoly:
             raise ValueError("q-shift overflows the %d-bit packed q field" % _W)
         return MPoly(u, out)
 
-    def laurent_shift(self, deltas: dict) -> "MPoly":
-        """Add a fixed offset to the exponents of given variables.
-
-        Bypasses the Laurent legality check on purpose: dual_lowering
-        divides by y1*...*ym and re-enters the legal range afterwards.
-        """
-        u = self.u
-        for nm, d in deltas.items():
-            self._check_shift(nm, d)
-        off = sum(d << u._shift[u.pos(nm)] for nm, d in deltas.items())
-        return MPoly(u, {k + off: c for k, c in self.terms.items()})
-
     def subs_monomials(self, assign: dict) -> "MPoly":
         """Substitute variables by (invertible) monomials, exactly.
 
         ``assign`` maps a variable name to a single-term MPoly in the same
         universe whose coefficient is +-1, e.g. x1 -> -q^{-2} x3^{-1}.
+        Raises ValueError when an exponent of the result leaves its packed
+        field.
         """
         u = self.u
         base = u.one_key
         subs = []
+        # no result exponent exceeds gain times the largest input exponent
+        # in absolute value
+        gain = 1
         for nm, mono in assign.items():
             if mono.u != u or len(mono.terms) != 1:
                 raise ValueError("substitution value for %s must be a monomial" % nm)
@@ -376,6 +374,20 @@ class MPoly:
             if mc not in (1, -1):
                 raise ValueError("substitution monomial must have unit coefficient")
             subs.append((u._shift[u.pos(nm)], mk - base, mc))
+            gain += sum(map(abs, u.unpack(mk)))
+        bits = _W - 1 - gain.bit_length()
+        if bits < 0 or not self._exps_within(bits):
+            # exponents this large may overflow: compute each term's exactly
+            for k in self.terms:
+                old = u.unpack(k)
+                new = list(old)
+                for s, moff, _ in subs:
+                    i = u._shift.index(s)
+                    new[i] -= old[i]
+                    new = [a + old[i] * b for a, b in zip(new, u.unpack(moff + base))]
+                if not all(-_B <= a < _B for a in new):
+                    raise ValueError("monomial substitution overflows a %d-bit packed field"
+                                     % _W)
         out = {}
         for k, c in self.terms.items():
             nk, nc = k, c
@@ -551,9 +563,11 @@ def try_div(num: MPoly, den: MPoly):
     """Exact quotient num/den, or None when den does not divide num.
 
     Divisibility is in the Laurent sense: monomials are units, so the
-    quotient may pick up monomial shifts.  Divisors with one or two terms
-    (the overwhelmingly common case here: Pochhammer binomials, Vandermonde
-    differences) take dedicated linear-time paths.
+    quotient may pick up monomial shifts.  Two-term divisors (the
+    overwhelmingly common case here: Pochhammer binomials, Vandermonde
+    differences) take the linear-time chain walk of :func:`_div_binomial`;
+    every other divisor, a monomial included, takes the heap division of
+    Monagan and Pearce (CASC 2007).
     """
     _chk_u(num.u, den.u)
     if den.is_zero():
@@ -561,15 +575,6 @@ def try_div(num: MPoly, den: MPoly):
     if num.is_zero():
         return num
     u = num.u
-    if len(den.terms) == 1:
-        ((kd, cd),) = den.terms.items()
-        base = u.one_key
-        out = {}
-        for k, c in num.terms.items():
-            if c % cd:
-                return None
-            out[k - kd + base] = c // cd
-        return MPoly(u, out)
     if len(den.terms) == 2:
         return _div_binomial(num, den)
     # shift both operands so every exponent is nonnegative, divide in N^k,
@@ -675,11 +680,23 @@ def _walk_starts(keys):
     yield from sorted(keys, reverse=True)
 
 
-def div_exact(num: MPoly, den: MPoly) -> MPoly:
-    qu = try_div(num, den)
-    if qu is None:
-        raise NotDivisible("denominator does not divide numerator exactly")
-    return qu
+def _divide_out(num: MPoly, tries):
+    """Divide num by each factor f up to k times for (f, k) in ``tries``.
+
+    Trying a factor stops at its first inexact division.  The factors are
+    tried in the given order, which decides which of two factors sharing a
+    divisor (associates, 1 - q^k with a common cyclotomic factor) goes.
+    Returns the quotient and {f: copies divided out}.
+    """
+    gone = {}
+    for f, k in tries:
+        for _ in range(k):
+            qu = try_div(num, f)
+            if qu is None:
+                break
+            num = qu
+            gone[f] = gone.get(f, 0) + 1
+    return num, gone
 
 
 # -- fractions -------------------------------------------------------------------
@@ -702,10 +719,10 @@ class Frac:
 
     The denominator is kept as a multiset of factors so that sums over a
     common structural denominator do not balloon; ``den`` expands it on
-    demand.  Semantic equality is cross-multiplication via :meth:`eq`.
+    each read.  Semantic equality is cross-multiplication via :meth:`eq`.
     """
 
-    __slots__ = ("num", "bag", "_den")
+    __slots__ = ("num", "bag")
 
     def __init__(self, num: MPoly, bag=()):
         self.num = num
@@ -717,7 +734,6 @@ class Frac:
                 raise ZeroDivisionError("zero factor in denominator")
             if m <= 0:
                 raise ValueError("factor multiplicities must be positive")
-        self._den = None
 
     @property
     def u(self) -> VarUniverse:
@@ -761,13 +777,11 @@ class Frac:
 
     @property
     def den(self) -> MPoly:
-        if self._den is None:
-            den = self.u.one()
-            for f, m in self.bag:
-                for _ in range(m):
-                    den = den * f
-            self._den = den
-        return self._den
+        den = self.u.one()
+        for f, m in self.bag:
+            for _ in range(m):
+                den = den * f
+        return den
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -823,10 +837,9 @@ class Frac:
 
     def as_poly(self) -> MPoly:
         """Certify that the denominator divides the numerator; exact quotient."""
-        r = self.num
-        for f, m in self.bag:
-            for _ in range(m):
-                r = div_exact(r, f)
+        r, gone = _divide_out(self.num, self.bag)
+        if sum(gone.values()) != sum(m for _, m in self.bag):
+            raise NotDivisible("denominator does not divide numerator exactly")
         return r
 
     def shrink(self) -> "Frac":
@@ -837,20 +850,8 @@ class Frac:
         """
         if not self.bag:
             return self
-        num = self.num
-        bag = {}
-        if num.is_zero():
-            return Frac(num)
-        for f, m in self.bag:
-            while m:
-                qu = try_div(num, f)
-                if qu is None:
-                    break
-                num = qu
-                m -= 1
-            if m:
-                bag[f] = m
-        return Frac(num, bag)
+        num, gone = _divide_out(self.num, self.bag)
+        return Frac(num, {f: m - gone.get(f, 0) for f, m in self.bag if m > gone.get(f, 0)})
 
     # -- structural maps ----------------------------------------------------------
 
@@ -929,17 +930,12 @@ def frac_sum(u: VarUniverse, terms, *, cancel: bool = False) -> Frac:
         if s.is_zero():
             union = {}
         elif cancel:
-            for f, m in b1.items():
-                if len(f.terms) != 2:
-                    continue
-                for _ in range(min(m, b2.get(f, 0))):
-                    qu = try_div(s, f)
-                    if qu is None:
-                        break
-                    s = qu
-                    union[f] -= 1
-                    if not union[f]:
-                        del union[f]
+            s, gone = _divide_out(s, [(f, min(m, b2.get(f, 0))) for f, m in b1.items()
+                                      if len(f.terms) == 2])
+            for f, k in gone.items():
+                union[f] -= k
+                if not union[f]:
+                    del union[f]
         items.append((s, union))
     num, bag = items[0]
     return Frac(num, bag)

@@ -34,9 +34,6 @@ class QDiffOp:
         self.u = u
         self.coeffs = coeffs
 
-    def nvars(self) -> int:
-        return self.u.n_x
-
     def keys_canonical(self) -> list:
         return sorted(self.coeffs, key=lambda g: (mi_weight(g), tuple(-e for e in g)))
 
@@ -364,10 +361,12 @@ def dual_lowering(f) -> Frac:
 
     D_y(1;t,q) is D(1;q,t) seen through the renaming q <-> t, x <-> y, so f
     is carried into the dual universe, D(1;q,t) acts there on x, and the
-    image is carried back.  Precondition: f has no negative q or x exponent,
-    since those become t and y exponents; ``convert`` raises ValueError
-    otherwise.  The division by y1*..*ym is the one sanctioned transient
-    Laurent shift on y exponents.
+    image is carried back.  The division by y1*..*ym happens on the dual
+    side, where those variables are the Laurent x1..xm: the image is
+    divisible by that monomial, and its bag factors x_i - x_j are prime to
+    it.  Precondition: f has no negative q or x exponent, since those become
+    t and y exponents; ``convert`` raises ValueError otherwise, and so it
+    would for a y exponent left negative by the division.
     """
     u = f.u
     f = as_frac(u, f)
@@ -376,9 +375,8 @@ def dual_lowering(f) -> Frac:
     rename = _duality(u.n_x, u.n_y)
     dual = universe(u.n_y, u.n_x)
     img = macdonald_d(dual, with_u=False).apply(f.convert(dual, rename))
-    img = img.convert(u, {v: k for k, v in rename.items()})
-    return Frac(img.num.laurent_shift({"y%d" % j: -1 for j in range(1, u.n_y + 1)}),
-                img.bag)
+    lowered = img.num.mono_mul(1, {"x%d" % j: -1 for j in range(1, u.n_y + 1)})
+    return Frac(lowered, img.bag).convert(u, {v: k for k, v in rename.items()})
 
 
 def lowering_diff(mu: Partition, m: int) -> Frac:

@@ -62,11 +62,8 @@ def sympoly_to_obj(sp: SymPoly, lam: Partition, kind: str) -> dict:
 def op_to_obj(op: QDiffOp, m: int) -> dict:
     coeffs = []
     for gamma in op.keys_canonical():
-        c = op.coeffs[gamma]
-        coeffs.append({"gamma": list(gamma),
-                       "num": poly_to_obj(c.num),
-                       "den": poly_to_obj(c.den)})
-    return {"m": m, "n": op.nvars(), "coeffs": coeffs}
+        coeffs.append({"gamma": list(gamma), **frac_to_obj(op.coeffs[gamma])})
+    return {"m": m, "n": op.u.n_x, "coeffs": coeffs}
 
 
 def dumps(obj) -> str:

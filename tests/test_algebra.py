@@ -5,8 +5,8 @@ import random
 import pytest
 
 from macdo.algebra import (Frac, MPoly, NotDivisible, UniverseMismatch,
-                           div_exact, frac_sum, mp_prod, mp_sum, qpoch,
-                           qpoch_factors, try_div, universe, universe_of_names)
+                           frac_sum, mp_prod, mp_sum, qpoch, qpoch_factors,
+                           try_div, universe, universe_of_names)
 from macdo.serialize import poly_from_obj, poly_to_obj
 
 
@@ -110,15 +110,27 @@ def test_mono_mul_refuses_packed_overflow():
             f.mono_mul(1, exps)
 
 
-def test_laurent_shift_refuses_packed_overflow():
-    u = universe(1, 2)
-    f = u.mono(1, {"y1": 2 ** 27 - 1}) + u.y(2)
-    g = f.laurent_shift({"y2": -2 ** 27})
-    assert sorted(g.u.exp_of(k, "y2") for k in g.terms) == [-2 ** 27, 1 - 2 ** 27]
-    assert all(g.u.exp_of(k, "y1") in (0, 2 ** 27 - 1) for k in g.terms)
-    for deltas in ({"y1": 1}, {"y2": -2 ** 27 - 1}):
-        with pytest.raises(ValueError):
-            f.laurent_shift(deltas)
+def test_subs_monomials_refuses_packed_overflow():
+    u1 = universe(1)
+    q, x1 = u1.gen("q"), u1.x(1)
+    to_qx = {"x1": u1.mono(1, {"q": -1, "x1": 1})}
+    assert u1.mono(1, {"q": 1 - 2 ** 27, "x1": 1}).subs_monomials(to_qx) == \
+        u1.mono(1, {"q": -2 ** 27, "x1": 1})
+    with pytest.raises(ValueError):
+        u1.mono(1, {"q": -2 ** 27, "x1": 1}).subs_monomials(to_qx)
+    with pytest.raises(ValueError):
+        (q + x1.mono_mul(1, {"x1": 2 ** 26})).subs_monomials({"x1": x1 * x1})
+    u2 = universe(2)
+    to_x1 = {"x2": u2.x(1)}
+    top = 2 ** 27 - 1
+    # each term alone fits after x2 -> x1, though the largest exponents of
+    # the input, added, would not
+    assert (u2.mono(1, {"x1": top}) + u2.mono(1, {"x2": top})).subs_monomials(to_x1) == \
+        u2.mono(2, {"x1": top})
+    assert u2.mono(1, {"x1": top - 1, "x2": 1}).subs_monomials(to_x1) == \
+        u2.mono(1, {"x1": top})
+    with pytest.raises(ValueError):
+        u2.mono(1, {"x1": top, "x2": 1}).subs_monomials(to_x1)
 
 
 def test_universe_of_names_accepts_only_the_canonical_list():
@@ -157,23 +169,31 @@ def test_frac_eq_is_congruence():
 
 
 def test_divide_exact_examples():
-    assert div_exact(ONE - Q * Q, ONE - Q) == ONE + Q
-    assert div_exact(X1 * X1 - X2 * X2, X1 - X2) == X1 + X2
+    assert try_div(ONE - Q * Q, ONE - Q) == ONE + Q
+    assert Frac.over(X1 * X1 - X2 * X2, X1 - X2).as_poly() == X1 + X2
     assert try_div(X1 + Q, X1 + T) is None
     with pytest.raises(NotDivisible):
-        div_exact(X1 + Q, X1 + T)
+        Frac.over(X1 + Q, X1 + T).as_poly()
+
+
+def rnd_unit_multiple(rng):
+    """+-c * monomial with c in 2..5 and negative q and x exponents."""
+    return U.mono(rng.choice((-1, 1)) * rng.randint(2, 5),
+                  {"q": rng.randint(-4, 2), "x1": rng.randint(-3, 2),
+                   "x2": rng.randint(-3, 2), "t": rng.randint(0, 1)})
 
 
 def test_divide_roundtrip_random():
     rng = random.Random(17)
     for _ in range(120):
         a, b = rnd_poly(rng, 3), rnd_poly(rng, 3)
-        if b.is_zero():
+        if a.is_zero() or b.is_zero():
             continue
-        prod = a * b
-        qu = try_div(prod, b)
-        assert qu is not None and qu * b == prod
-        assert qu == a  # quotients are unique over an integral domain
+        for d in (b, rnd_unit_multiple(rng)):
+            prod = a * d
+            qu = try_div(prod, d)
+            assert qu is not None and qu * d == prod
+            assert qu == a  # quotients are unique over an integral domain
 
 
 def test_divide_detects_nondivisible_random():
@@ -189,6 +209,10 @@ def test_divide_detects_nondivisible_random():
             hits += 1
         else:
             assert qu * b == prod
+        # every coefficient of a*d is a multiple of c >= 2, so adding 1 to
+        # one of them leaves a coefficient c does not divide
+        d = rnd_unit_multiple(rng)
+        assert try_div(a * d + ONE, d) is None
     assert hits > 0
 
 
@@ -219,11 +243,17 @@ def test_frac_sum_matches_pairwise():
     assert s.eq(acc)
 
 
+PARTLY_CANCELLING = Frac((ONE - Q) * (ONE + T), {ONE - Q: 2, ONE + T: 1, X1 - X2: 1})
+
+
 def test_as_poly_certifies():
     f = Frac.from_factors(U, [(ONE - Q * Q) * (X1 - X2)], [ONE - Q])
     assert f.as_poly() == (ONE + Q) * (X1 - X2)
     with pytest.raises(NotDivisible):
         Frac.over(X1 + Q, X1 + T).as_poly()
+    # some copies divide out, but not every one
+    with pytest.raises(NotDivisible):
+        PARTLY_CANCELLING.as_poly()
 
 
 def test_shrink_preserves_value():
@@ -231,6 +261,10 @@ def test_shrink_preserves_value():
     g = f.shrink()
     assert g.eq(f)
     assert sum(m for _, m in g.bag) == 1  # only the x factor resists
+    # one copy of 1 - q goes, the second stays, and 1 + t goes
+    g = PARTLY_CANCELLING.shrink()
+    assert g.num == ONE
+    assert g.bag == Frac(ONE, {ONE - Q: 1, X1 - X2: 1}).bag
 
 
 def test_from_factors_cancels_only_shared_x_factors():
