@@ -11,7 +11,10 @@ plain integer comparison of keys.  The constructors, the shifts (``qshift``,
 ``mono_mul``) and ``subs_monomials`` reject an exponent outside
 [-2^27, 2^27) rather than let it spill into the next field; ``MPoly.__mul__``
 adds keys unchecked, because a check per term product would cost more than
-the product.
+the product.  Clearing fractions to a common denominator multiplies mostly
+by two-term bag factors; a product with a two-term operand, on either side,
+takes two linear passes over the other operand (``_mul_binomial``), the
+counterpart of the chain walk that divides by one (``_div_binomial``).
 
 Fractions carry their denominator as a multiset of polynomial factors and
 are never reduced to lowest terms.  Equality is decided by
@@ -257,6 +260,12 @@ class MPoly:
         return MPoly(self.u, {k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other):
+        """Product; packed keys are added unchecked.
+
+        When the smaller operand has two terms, the product is two shifted
+        copies of the other (``_mul_binomial``); otherwise every term pair
+        is accumulated.
+        """
         if isinstance(other, int):
             return self.scale(other)
         _chk_u(self.u, other.u)
@@ -266,6 +275,8 @@ class MPoly:
         if len(a) > len(b):
             a, b = b, a
         base = self.u.one_key
+        if len(a) == 2:
+            return MPoly(self.u, _mul_binomial(a, b, base))
         out = {}
         get = out.get
         bitems = list(b.items())
@@ -359,7 +370,7 @@ class MPoly:
         ``assign`` maps a variable name to a single-term MPoly in the same
         universe whose coefficient is +-1, e.g. x1 -> -q^{-2} x3^{-1}.
         Raises ValueError when an exponent of the result leaves its packed
-        field.
+        field, or when the result has a negative exponent on t, u or y.
         """
         u = self.u
         base = u.one_key
@@ -367,14 +378,20 @@ class MPoly:
         # no result exponent exceeds gain times the largest input exponent
         # in absolute value
         gain = 1
+        # t, u and y positions that a negative q or x exponent can reach
+        polar = set()
         for nm, mono in assign.items():
             if mono.u != u or len(mono.terms) != 1:
                 raise ValueError("substitution value for %s must be a monomial" % nm)
             ((mk, mc),) = mono.terms.items()
             if mc not in (1, -1):
                 raise ValueError("substitution monomial must have unit coefficient")
-            subs.append((u._shift[u.pos(nm)], mk - base, mc))
-            gain += sum(map(abs, u.unpack(mk)))
+            i = u.pos(nm)
+            subs.append((u._shift[i], mk - base, mc))
+            vec = u.unpack(mk)
+            gain += sum(map(abs, vec))
+            if u._laurent[i]:
+                polar.update(j for j, e in enumerate(vec) if e and not u._laurent[j])
         bits = _W - 1 - gain.bit_length()
         if bits < 0 or not self._exps_within(bits):
             # exponents this large may overflow: compute each term's exactly
@@ -402,6 +419,11 @@ class MPoly:
                 out[nk] = pc
             else:
                 del out[nk]
+        for j in sorted(polar):
+            s = u._shift[j]
+            if any(((k >> s) & _MASK) < _B for k in out):
+                raise ValueError("monomial substitution leaves a negative exponent on %s"
+                                 % u.names[j])
         return MPoly(u, out)
 
     def convert(self, target: VarUniverse, rename: dict | None = None) -> "MPoly":
@@ -502,6 +524,33 @@ class MPoly:
             else:
                 chunks.append("%d*%s" % (c, "*".join(parts)))
         return " + ".join(chunks)
+
+
+def _mul_binomial(a: dict, b: dict, base: int) -> dict:
+    """Terms of the product of a two-term ``a`` and any ``b``, in two passes.
+
+    The first shifted copy of ``b`` has distinct keys and no zero, so one
+    comprehension builds it; the second is folded in, deleting each
+    coefficient that cancels.
+    """
+    (k1, c1), (k2, c2) = a.items()
+    off = k1 - base
+    if c1 == 1:
+        out = {k + off: c for k, c in b.items()}
+    elif c1 == -1:
+        out = {k + off: -c for k, c in b.items()}
+    else:
+        out = {k + off: c1 * c for k, c in b.items()}
+    off = k2 - base
+    get = out.get
+    for k, c in b.items():
+        k += off
+        nc = get(k, 0) + c2 * c
+        if nc:
+            out[k] = nc
+        else:
+            del out[k]
+    return out
 
 
 def mp_sum(u: VarUniverse, polys) -> MPoly:

@@ -133,6 +133,23 @@ def test_subs_monomials_refuses_packed_overflow():
         u2.mono(1, {"x1": top, "x2": 1}).subs_monomials(to_x1)
 
 
+def test_subs_monomials_keeps_the_exponent_rule():
+    # a negative q or x exponent must not carry over onto t, u or y
+    u1 = universe(1)
+    t, x1 = u1.gen("t"), u1.x(1)
+    with pytest.raises(ValueError):
+        u1.mono(1, {"x1": -1}).subs_monomials({"x1": t * x1})
+    uy = universe(1, 1)
+    with pytest.raises(ValueError):
+        uy.mono(1, {"q": -2}).subs_monomials({"q": uy.y(1)})
+    # legal: the negative x2 exponent's t is paid back by x1's
+    u2 = universe(2)
+    tx = {"x1": u2.mono(1, {"t": 1, "x1": 1}), "x2": u2.mono(1, {"t": 1, "x2": 1})}
+    got = u2.mono(1, {"x1": 2, "x2": -1}).subs_monomials(tx)
+    assert got == u2.mono(1, {"t": 1, "x1": 2, "x2": -1})
+    got.validate()
+
+
 def test_universe_of_names_accepts_only_the_canonical_list():
     for u in (universe(1), universe(2, 1, u=True), U):
         assert universe_of_names(list(u.names)) == u
@@ -322,6 +339,51 @@ def test_binomial_division_property():
             g = af + mono(exps)
             assert try_div(g, f) is None
             assert try_div(g * h, f * h) is None
+
+
+def test_binomial_product_property():
+    # a*f and f*a for a two-term f against a reference that never calls
+    # __mul__: the sum of a shifted by each term of f
+    rng = random.Random(4096)
+    u = universe(3)
+    one = u.one()
+    x1 = u.x(1)
+
+    def laurent():
+        return mp_sum(u, (u.mono(rng.choice((-3, -2, -1, 1, 2, 3)),
+                                 {"q": rng.randint(-4, 4), "t": rng.randint(0, 2),
+                                  "x1": rng.randint(-3, 3), "x2": rng.randint(-3, 3),
+                                  "x3": rng.randint(-3, 3)})
+                          for _ in range(rng.randint(1, 8))))
+
+    def binomial():
+        i, j = rng.sample(("x1", "x2", "x3"), 2)
+        c = rng.randint(1, 3)
+        return rng.choice((one - u.mono(1, {"q": rng.randint(-3, 3), i: 1, j: -1}),
+                           u.gen(i) - u.gen(j),
+                           one - u.mono(1, {"q": rng.randint(1, 4)}),
+                           u.mono(-1, {"q": -c}) + u.gen(i),
+                           u.const(2) - u.mono(3, {"q": c, i: 1, j: -1})))
+
+    def reference(a, f):
+        return mp_sum(u, (a.mono_mul(c, dict(zip(u.names, u.unpack(k))))
+                          for k, c in f.terms.items()))
+
+    cases = [(laurent(), binomial()) for _ in range(300)]
+    cases += [(binomial(), binomial()) for _ in range(50)]
+    # products that cancel terms: (1 - x1)(1 + x1 + ... + x1^k) = 1 - x1^(k+1)
+    for k in range(5):
+        geo = mp_sum(u, (u.mono(1, {"x1": e}) for e in range(k + 1)))
+        assert geo * (one - x1) == one - u.mono(1, {"x1": k + 1})
+        cases.append((geo, one - x1))
+    cases.append((one + x1, one - x1))
+    cases.append((one + x1, x1 + one))
+    for a, f in cases:
+        assert len(f.terms) == 2
+        want = reference(a, f)
+        for got in (a * f, f * a):
+            got.validate()
+            assert got == want
 
 
 def test_laurent_restrictions():
