@@ -240,12 +240,12 @@ def test_checked_in_golden_corpus_matches(capsys):
 @pytest.mark.parametrize("argv, digest", [
     (("operator", "--m", "3", "--n", "2", "--format", "json"),
      "877e2aa63aa02d15d6139234e62a58c669be74e2de26b645cdb6590a8a87a586"),
+    (("poly", "P", "--lambda", "3,1", "--n", "3", "--format", "json"),
+     "70d10f1459f685992d4beb8d7d15270960df87a1167588a0cf1dc0935b61a416"),
     (("operator", "--m", "2", "--n", "3", "--format", "json"),
      "2fae7c1cc4c3885e0fa65036b83f6a1dc6c7acecb74759e672d6cfc545646fcd"),
     (("operator", "--m", "4", "--n", "2", "--format", "json"),
      "9593b38de7b9bf51d792bfc4650461ff698a814daedf79f742c1ed16ef2d68a4"),
-    (("poly", "P", "--lambda", "3,1", "--n", "3", "--format", "json"),
-     "70d10f1459f685992d4beb8d7d15270960df87a1167588a0cf1dc0935b61a416"),
 ])
 def test_uncancelled_outputs_keep_their_bytes(capsys, argv, digest):
     # the B_m build and the P solve sum without cancelling, so their stored
