@@ -15,6 +15,10 @@ the product.  Clearing fractions to a common denominator multiplies mostly
 by two-term bag factors; a product with a two-term operand, on either side,
 takes two linear passes over the other operand (``_mul_binomial``), the
 counterpart of the chain walk that divides by one (``_div_binomial``).
+Neither kernel sorts keys: the product's first pass is a plain copy when the
+two-term operand holds the constant 1 (1 - q^c x_i/x_j, 1 - q^k), and the
+walk takes its chains from buckets of one exponent field, in walk order,
+without integer division when the leading coefficient is +-1.
 
 Fractions carry their denominator as a multiset of polynomial factors and
 are never reduced to lowest terms.  Equality is decided by
@@ -529,18 +533,25 @@ class MPoly:
 def _mul_binomial(a: dict, b: dict, base: int) -> dict:
     """Terms of the product of a two-term ``a`` and any ``b``, in two passes.
 
-    The first shifted copy of ``b`` has distinct keys and no zero, so one
-    comprehension builds it; the second is folded in, deleting each
-    coefficient that cancels.
+    When ``a`` holds the constant 1, in either position, the first copy of
+    ``b`` is ``b`` itself: ``dict(b)`` copies it in C and keeps its key
+    objects.  Otherwise the first shifted copy has distinct keys and no
+    zero, so one comprehension builds it.  The other term is folded in,
+    deleting each coefficient that cancels.
     """
     (k1, c1), (k2, c2) = a.items()
-    off = k1 - base
-    if c1 == 1:
-        out = {k + off: c for k, c in b.items()}
-    elif c1 == -1:
-        out = {k + off: -c for k, c in b.items()}
+    if k2 == base and c2 == 1:
+        (k1, c1), (k2, c2) = (k2, c2), (k1, c1)
+    if k1 == base and c1 == 1:
+        out = dict(b)
     else:
-        out = {k + off: c1 * c for k, c in b.items()}
+        off = k1 - base
+        if c1 == 1:
+            out = {k + off: c for k, c in b.items()}
+        elif c1 == -1:
+            out = {k + off: -c for k, c in b.items()}
+        else:
+            out = {k + off: c1 * c for k, c in b.items()}
     off = k2 - base
     get = out.get
     for k, c in b.items():
@@ -675,58 +686,72 @@ def _div_binomial(num: MPoly, den: MPoly):
 
     Terms of the numerator split into chains along the divisor's exponent
     step.  One walk runs down each chain in linear time, carrying the
-    correction term, and stops where the carry cancels.  Walks start at the
-    keys in descending order, the leading chain first, so that a division
-    failing there fails before any sort; a walk consumes every key it
-    passes.  A chain of an exact quotient can visit at most span/step
-    positions, so walks are cut off by a step budget; integer key arithmetic
-    stays faithful to exponent vectors within that budget.
+    correction term, and stops where the carry cancels; a walk consumes
+    every key it passes.  The one scan that sets the step budget also
+    buckets the keys by the step's widest exponent component.  Two keys on
+    one chain differ in that component, so walking the buckets in walk order
+    (descending where the step component is positive, ascending where it is
+    negative) starts every chain at its top, without sorting the keys.  A
+    chain of an exact quotient can visit at most span/step positions, so
+    walks are cut off by a step budget; integer key arithmetic stays
+    faithful to exponent vectors within that budget.  With a leading
+    coefficient of +-1 the walk needs no integer division: the quotient
+    term is a*c1 and the carry a*(-c1*c2).
     """
     u = num.u
     k1, k2 = sorted(den.terms, reverse=True)
     c1, c2 = den.terms[k1], den.terms[k2]
     d = k1 - k2
-    base = u.one_key
+    qoff = u.one_key - k1
     # widest step component bounds the number of positions a valid chain
     # can visit; one extra step is allowed for the closing carry
     dvec = [a - b for a, b in zip(u.unpack(k1), u.unpack(k2))]
     comp = max(range(u.nvars), key=lambda i: abs(dvec[i]))
-    step = abs(dvec[comp])
     s_comp = u._shift[comp]
-    fmin, fmax = _MASK, 0
+    buckets = {}
     for k in num.terms:
         f = (k >> s_comp) & _MASK
-        if f < fmin:
-            fmin = f
-        if f > fmax:
-            fmax = f
-    budget = (fmax - fmin) // step + 2
+        bucket = buckets.get(f)
+        if bucket is None:
+            buckets[f] = [k]
+        else:
+            bucket.append(k)
+    budget = (max(buckets) - min(buckets)) // abs(dvec[comp]) + 2
     rest = dict(num.terms)
     qu = {}
-    for pos in _walk_starts(rest):
-        if pos not in rest:
-            continue
-        carry, left = 0, budget
-        while True:
-            a = carry + rest.pop(pos, 0)
-            if a % c1:
-                return None
-            cq = a // c1
-            if not cq:
-                break
-            qu[pos - k1 + base] = cq
-            carry = -cq * c2
-            left -= 1
-            if left < 0:
-                return None
-            pos -= d
+    unit = c1 in (1, -1)
+    mult = -c1 * c2
+    for f in sorted(buckets, reverse=dvec[comp] > 0):
+        for pos in buckets[f]:
+            if pos not in rest:
+                continue
+            carry, left = 0, budget
+            if unit:
+                while True:
+                    a = carry + rest.pop(pos, 0)
+                    if not a:
+                        break
+                    qu[pos + qoff] = a * c1
+                    carry = a * mult
+                    left -= 1
+                    if left < 0:
+                        return None
+                    pos -= d
+            else:
+                while True:
+                    a = carry + rest.pop(pos, 0)
+                    if a % c1:
+                        return None
+                    cq = a // c1
+                    if not cq:
+                        break
+                    qu[pos + qoff] = cq
+                    carry = -cq * c2
+                    left -= 1
+                    if left < 0:
+                        return None
+                    pos -= d
     return MPoly(u, qu)
-
-
-def _walk_starts(keys):
-    """The leading key, then the keys left after its walk, sorted descending."""
-    yield max(keys)
-    yield from sorted(keys, reverse=True)
 
 
 def _divide_out(num: MPoly, tries):

@@ -19,6 +19,10 @@ from .partitions import mi_weight, parse_partition, partitions_of
 from .suites import build_suite, run_cases
 
 DESK_N, DESK_M, DESK_WEIGHT = 4, 4, 5
+# the keyid identity builds B_m on the n x n Cauchy kernel; m*n = 6 (the
+# largest pair of the keyid suite) takes seconds, while (3, 3) takes minutes
+# and gigabytes
+DESK_KEYID_MN = 6
 
 
 def check_limits(*, n=None, m=None, max_weight=None, unsafe=False):
@@ -120,6 +124,8 @@ def cmd_identity(args) -> int:
                      unsafe=args.unsafe_limits)
     else:
         check_limits(m=parsed["m"], n=parsed["n"], unsafe=args.unsafe_limits)
+        if parsed["m"] * parsed["n"] > DESK_KEYID_MN and not args.unsafe_limits:
+            raise ValueError("keyid with m*n > %d needs --unsafe-limits" % DESK_KEYID_MN)
     result = check(parsed)
     ok = result if isinstance(result, bool) else result.is_zero()
     rec = {"identity": name, "params": params, "pass": bool(ok)}
@@ -220,8 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     limits = argparse.ArgumentParser(add_help=False)
     limits.add_argument("--unsafe-limits", action="store_true",
-                        help="allow n > %d, m > %d or weight > %d"
-                             % (DESK_N, DESK_M, DESK_WEIGHT))
+                        help="allow n > %d, m > %d, weight > %d or keyid m*n > %d"
+                             % (DESK_N, DESK_M, DESK_WEIGHT, DESK_KEYID_MN))
 
     p = sub.add_parser("poly", parents=[limits],
                        help="print P or J in the monomial basis")

@@ -341,6 +341,67 @@ def test_binomial_division_property():
             assert try_div(g * h, f * h) is None
 
 
+def test_binomial_division_walk_order_and_coefficients():
+    # divisors with a leading coefficient other than +-1 (the walk with
+    # integer division) and with a negative widest step component (buckets
+    # walked in ascending order), and quotients whose chains run through
+    # positions where the numerator has no term.  Every division is checked
+    # against the heap path through f*h, as above.
+    rng = random.Random(4093)
+    u = universe(3)
+    one = u.one()
+    t = u.gen("t")
+    h = one + t + t * t
+
+    def laurent():
+        return mp_sum(u, (u.mono(rng.choice((-3, -2, -1, 1, 2, 3)),
+                                 {"q": rng.randint(-4, 4), "t": rng.randint(0, 2),
+                                  "x1": rng.randint(-3, 3), "x2": rng.randint(-3, 3),
+                                  "x3": rng.randint(-3, 3)})
+                          for _ in range(rng.randint(1, 8))))
+
+    def divisor():
+        i, j = rng.sample(("x1", "x2", "x3"), 2)
+        c = rng.randint(1, 3)
+        return rng.choice((u.const(2) - u.mono(3, {"q": rng.randint(-3, 3), i: 1, j: -1}),
+                           u.mono(3, {i: 1}) + u.mono(2, {j: 1}),
+                           u.mono(-1, {"q": -c}) + u.gen(i),
+                           one - u.mono(1, {"q": 1, i: -2}),
+                           u.mono(1, {i: 3}) - u.mono(1, {"q": 1, j: 1}),
+                           u.const(2) - u.mono(3, {"q": 1, i: -2}),
+                           u.mono(-2, {i: 3}) + u.mono(3, {"q": c, j: 1})))
+
+    def gapped(f):
+        # sum_e c1^(k-1-e) (-c2)^e r^e with r the step down the chain: times
+        # f it keeps only the two ends of the chain
+        (k1, c1), (k2, c2) = sorted(f.terms.items(), reverse=True)
+        r = dict(zip(u.names, (a - b for a, b in zip(u.unpack(k2), u.unpack(k1)))))
+        k = rng.randint(2, 6)
+        return mp_sum(u, (u.mono(c1 ** (k - 1 - e) * (-c2) ** e,
+                                 {nm: e * x for nm, x in r.items()}) for e in range(k)))
+
+    def check(g, f, want):
+        assert try_div(g, f) == want
+        assert try_div(g * h, f * h) == want
+
+    for _ in range(250):
+        f = divisor()
+        c1 = f.terms[max(f.terms)]
+        g = gapped(f)
+        assert len((g * f).terms) == 2
+        for a in (laurent(), g, g * laurent(), g + laurent().mono_mul(1, {"t": 3})):
+            if a.is_zero():
+                continue
+            af = a * f
+            check(af, f, a)
+            # adding a monomial leaves a numerator f cannot divide; on the
+            # top key it leaves a coefficient that c1 does not divide
+            top = max(af.terms)
+            assert abs(c1) == 1 or (af.terms[top] + 1) % c1
+            for key in (top, rng.choice(list(af.terms))):
+                check(af + MPoly(u, {key: 1}), f, None)
+
+
 def test_binomial_product_property():
     # a*f and f*a for a two-term f against a reference that never calls
     # __mul__: the sum of a shifted by each term of f
@@ -378,6 +439,13 @@ def test_binomial_product_property():
         cases.append((geo, one - x1))
     cases.append((one + x1, one - x1))
     cases.append((one + x1, x1 + one))
+    # the constant 1 in second dict position, the constant -1, and 1 + m
+    for _ in range(30):
+        i, j = rng.sample(("x1", "x2", "x3"), 2)
+        m = u.mono(1, {"q": rng.randint(-3, 3), i: 1, j: -1})
+        for f in (-m + one, m - one, one + m):
+            cases.append((laurent(), f))
+    assert list((-m + one).terms)[1] == u.one_key
     for a, f in cases:
         assert len(f.terms) == 2
         want = reference(a, f)

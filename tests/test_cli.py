@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+import macdo.raising as rs
 from macdo.cli import main
 from macdo.serialize import dumps, op_to_obj, poly_from_obj, poly_to_obj
 
@@ -121,6 +122,28 @@ def test_identity_obeys_desk_limits(capsys):
                            "--alpha", "1,1", "--k", "9")
     assert code == 2 and "unsafe-limits" in err
     code, out, _ = run_cli(capsys, "identity", "--name", "qbinom", "--alpha", "6",
+                           "--unsafe-limits")
+    assert code == 0 and json.loads(out)["pass"] is True
+
+
+def test_identity_keyid_caps_m_times_n(capsys, monkeypatch):
+    # (3, 3) is inside the n and m caps but runs for minutes; every pair of
+    # the keyid suite has m*n <= 6
+    for m, n in ((2, 3), (3, 2)):
+        code, out, _ = run_cli(capsys, "identity", "--name", "keyid",
+                               "--m", str(m), "--n", str(n))
+        assert code == 0 and json.loads(out)["pass"] is True
+
+    def refuse(m, n):
+        raise AssertionError("keyid (%d, %d) ran" % (m, n))
+
+    monkeypatch.setattr(rs, "key_identity_diff", refuse)
+    for m, n in ((3, 3), (4, 2), (2, 4), (4, 4)):
+        code, out, err = run_cli(capsys, "identity", "--name", "keyid",
+                                 "--m", str(m), "--n", str(n))
+        assert code == 2 and out == "" and "--unsafe-limits" in err, (m, n)
+    monkeypatch.setattr(rs, "key_identity_diff", lambda m, n: True)
+    code, out, _ = run_cli(capsys, "identity", "--name", "keyid", "--m", "3", "--n", "3",
                            "--unsafe-limits")
     assert code == 0 and json.loads(out)["pass"] is True
 

@@ -1,5 +1,7 @@
 """Macdonald operators, P and J polynomials, and the dual-pair checks."""
 
+import itertools
+
 import pytest
 
 from macdo.algebra import Frac, NotDivisible, cauchy_kernel, frac_sum, universe
@@ -12,6 +14,7 @@ from macdo.macdonald import (QDiffOp, cauchy_diff, d1_eigenvalue,
                              macdonald_p, monomial_symmetric, operators_agree)
 from macdo.partitions import Partition, partitions_of
 from macdo.raising import row_raising_op
+from macdo.serialize import sympoly_to_obj
 
 
 def test_apply_identity_and_single_shift():
@@ -218,3 +221,85 @@ def test_cancelling_sum_agrees_with_the_plain_sum():
                 removed_total += mult - kept.get(fac, 0)
         assert cancelled.as_poly() == plain.as_poly()
     assert removed_total > 0
+
+
+# n <= 3 and |lambda| <= 3: 17 cases, 5 of them with more than one mu
+P_ORACLE_CASES = [(lam, n) for n in (1, 2, 3) for d in range(4)
+                  for lam in partitions_of(d, max_len=n)]
+
+
+def _sympy_poly(sp, obj):
+    names = sp.symbols(obj["vars"])
+    return sp.Add(*(int(tm["c"]) * sp.Mul(*(v ** e for v, e in zip(names, tm["e"])))
+                    for tm in obj["terms"]))
+
+
+def _sympy_p(sp, lam, n, lift=None):
+    """P_lambda, read only from its serialized table, in sympy.
+
+    Returns {mu: (numerator, denominator)} and the polynomial F = P * prod
+    of the denominators; ``lift`` names a mu whose numerator is multiplied
+    by q.
+    """
+    obj = sympoly_to_obj(macdonald_p(lam, n), lam, "P")
+    xs = sp.symbols(["x%d" % i for i in range(1, n + 1)])
+    coeffs = {}
+    for mu, c in obj["coeffs"].items():
+        num = _sympy_poly(sp, c["num"]) * (sp.Symbol("q") if mu == lift else 1)
+        coeffs[mu] = (num, _sympy_poly(sp, c["den"]))
+    total = 0
+    for mu, (num, _) in coeffs.items():
+        exps = ([int(p) for p in mu.split(",") if p] + [0] * n)[:n]
+        monomial = sp.Add(*(sp.Mul(*(x ** e for x, e in zip(xs, perm)))
+                            for perm in set(itertools.permutations(exps))))
+        others = sp.Mul(*(den for nu, (_, den) in coeffs.items() if nu != mu))
+        total += num * others * monomial
+    return coeffs, sp.expand(total)
+
+
+def _sympy_d1_residual(sp, f, lam, n):
+    """(D_1 f - e_lambda f) times the Vandermonde product, expanded.
+
+    D_1 = sum_i prod_{j != i} (t x_i - x_j)/(x_i - x_j) T_{q,x_i} and
+    e_lambda = sum_i q^{lambda_i} t^{n-i}; the division by x_i - x_j is
+    cleared by hand, so the result is a polynomial.
+    """
+    q, t = sp.symbols("q t")
+    xs = sp.symbols(["x%d" % i for i in range(1, n + 1)])
+
+    def vandermonde(vs):
+        return sp.Mul(*(a - b for k, a in enumerate(vs) for b in vs[k + 1:]))
+
+    image = 0
+    for i, xi in enumerate(xs):
+        rest = xs[:i] + xs[i + 1:]
+        image += ((-1) ** i * sp.Mul(*(t * xi - xj for xj in rest)) * vandermonde(rest)
+                  * f.subs(xi, q * xi))
+    e = sp.Add(*(q ** part * t ** (n - 1 - i) for i, part in enumerate(lam.padded(n))))
+    return sp.expand(image - e * vandermonde(xs) * f)
+
+
+def test_p_matches_an_independent_sympy_d1_eigenproblem():
+    sp = pytest.importorskip("sympy")
+    assert len(P_ORACLE_CASES) == 17
+    for lam, n in P_ORACLE_CASES:
+        coeffs, f = _sympy_p(sp, lam, n)
+        num, den = coeffs[lam.to_string()]
+        assert sp.expand(num - den) == 0, (lam, n)
+        assert _sympy_d1_residual(sp, f, lam, n) == 0, (lam, n)
+
+
+def test_sympy_p_oracle_rejects_a_lifted_coefficient():
+    # negative control: multiplying the coefficient of one mu below lambda by
+    # q breaks the eigen equation for every lambda with more than one mu
+    sp = pytest.importorskip("sympy")
+    hits = 0
+    for lam, n in P_ORACLE_CASES:
+        coeffs, _ = _sympy_p(sp, lam, n)
+        lower = sorted(mu for mu in coeffs if mu != lam.to_string())
+        if not lower:
+            continue
+        _, f = _sympy_p(sp, lam, n, lift=lower[0])
+        assert _sympy_d1_residual(sp, f, lam, n) != 0, (lam, n)
+        hits += 1
+    assert hits == 5
