@@ -17,8 +17,7 @@ takes two linear passes over the other operand (``_mul_binomial``), the
 counterpart of the chain walk that divides by one (``_div_binomial``).
 Neither kernel sorts keys: the product's first pass is a plain copy when the
 two-term operand holds the constant 1 (1 - q^c x_i/x_j, 1 - q^k), and the
-walk takes its chains from buckets of one exponent field, in walk order,
-without integer division when the leading coefficient is +-1.
+walk takes its chains from buckets of one exponent field, in walk order.
 
 Fractions carry their denominator as a multiset of polynomial factors and
 are never reduced to lowest terms.  Equality is decided by
@@ -623,11 +622,12 @@ def try_div(num: MPoly, den: MPoly):
     """Exact quotient num/den, or None when den does not divide num.
 
     Divisibility is in the Laurent sense: monomials are units, so the
-    quotient may pick up monomial shifts.  Two-term divisors (the
-    overwhelmingly common case here: Pochhammer binomials, Vandermonde
-    differences) take the linear-time chain walk of :func:`_div_binomial`;
-    every other divisor, a monomial included, takes the heap division of
-    Monagan and Pearce (CASC 2007).
+    quotient may pick up monomial shifts.  Two-term divisors with a leading
+    coefficient of +-1 (the overwhelmingly common case here: Pochhammer
+    binomials, Vandermonde differences) take the linear-time chain walk of
+    :func:`_div_binomial`; every other divisor, a monomial or a two-term
+    divisor such as 2 - 3q included, takes the heap division of Monagan and
+    Pearce (CASC 2007).
     """
     _chk_u(num.u, den.u)
     if den.is_zero():
@@ -635,7 +635,7 @@ def try_div(num: MPoly, den: MPoly):
     if num.is_zero():
         return num
     u = num.u
-    if len(den.terms) == 2:
+    if len(den.terms) == 2 and den.terms[max(den.terms)] in (1, -1):
         return _div_binomial(num, den)
     # shift both operands so every exponent is nonnegative, divide in N^k,
     # then shift the quotient back
@@ -682,7 +682,7 @@ def try_div(num: MPoly, den: MPoly):
 
 
 def _div_binomial(num: MPoly, den: MPoly):
-    """Exact division by a two-term divisor via chain-walk synthetic division.
+    """Exact division by a two-term divisor with a leading coefficient of +-1.
 
     Terms of the numerator split into chains along the divisor's exponent
     step.  One walk runs down each chain in linear time, carrying the
@@ -694,9 +694,9 @@ def _div_binomial(num: MPoly, den: MPoly):
     negative) starts every chain at its top, without sorting the keys.  A
     chain of an exact quotient can visit at most span/step positions, so
     walks are cut off by a step budget; integer key arithmetic stays
-    faithful to exponent vectors within that budget.  With a leading
-    coefficient of +-1 the walk needs no integer division: the quotient
-    term is a*c1 and the carry a*(-c1*c2).
+    faithful to exponent vectors within that budget.  A leading
+    coefficient of +-1 is its own inverse, so the walk needs no integer
+    division: the quotient term is a*c1 and the carry a*(-c1*c2).
     """
     u = num.u
     k1, k2 = sorted(den.terms, reverse=True)
@@ -719,38 +719,22 @@ def _div_binomial(num: MPoly, den: MPoly):
     budget = (max(buckets) - min(buckets)) // abs(dvec[comp]) + 2
     rest = dict(num.terms)
     qu = {}
-    unit = c1 in (1, -1)
     mult = -c1 * c2
     for f in sorted(buckets, reverse=dvec[comp] > 0):
         for pos in buckets[f]:
             if pos not in rest:
                 continue
             carry, left = 0, budget
-            if unit:
-                while True:
-                    a = carry + rest.pop(pos, 0)
-                    if not a:
-                        break
-                    qu[pos + qoff] = a * c1
-                    carry = a * mult
-                    left -= 1
-                    if left < 0:
-                        return None
-                    pos -= d
-            else:
-                while True:
-                    a = carry + rest.pop(pos, 0)
-                    if a % c1:
-                        return None
-                    cq = a // c1
-                    if not cq:
-                        break
-                    qu[pos + qoff] = cq
-                    carry = -cq * c2
-                    left -= 1
-                    if left < 0:
-                        return None
-                    pos -= d
+            while True:
+                a = carry + rest.pop(pos, 0)
+                if not a:
+                    break
+                qu[pos + qoff] = a * c1
+                carry = a * mult
+                left -= 1
+                if left < 0:
+                    return None
+                pos -= d
     return MPoly(u, qu)
 
 

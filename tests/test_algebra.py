@@ -342,11 +342,11 @@ def test_binomial_division_property():
 
 
 def test_binomial_division_walk_order_and_coefficients():
-    # divisors with a leading coefficient other than +-1 (the walk with
-    # integer division) and with a negative widest step component (buckets
-    # walked in ascending order), and quotients whose chains run through
-    # positions where the numerator has no term.  Every division is checked
-    # against the heap path through f*h, as above.
+    # divisors with a leading coefficient other than +-1 (which try_div
+    # sends to the heap path) and with a negative widest step component
+    # (buckets walked in ascending order), and quotients whose chains run
+    # through positions where the numerator has no term.  Every division is
+    # checked against the known quotient and, through f*h, the heap path.
     rng = random.Random(4093)
     u = universe(3)
     one = u.one()

@@ -15,6 +15,7 @@ from macdo.macdonald import (QDiffOp, cauchy_diff, d1_eigenvalue,
 from macdo.partitions import Partition, partitions_of
 from macdo.raising import row_raising_op
 from macdo.serialize import sympoly_to_obj
+from sympy_util import sympy_poly
 
 
 def test_apply_identity_and_single_shift():
@@ -228,12 +229,6 @@ P_ORACLE_CASES = [(lam, n) for n in (1, 2, 3) for d in range(4)
                   for lam in partitions_of(d, max_len=n)]
 
 
-def _sympy_poly(sp, obj):
-    names = sp.symbols(obj["vars"])
-    return sp.Add(*(int(tm["c"]) * sp.Mul(*(v ** e for v, e in zip(names, tm["e"])))
-                    for tm in obj["terms"]))
-
-
 def _sympy_p(sp, lam, n, lift=None):
     """P_lambda, read only from its serialized table, in sympy.
 
@@ -245,8 +240,8 @@ def _sympy_p(sp, lam, n, lift=None):
     xs = sp.symbols(["x%d" % i for i in range(1, n + 1)])
     coeffs = {}
     for mu, c in obj["coeffs"].items():
-        num = _sympy_poly(sp, c["num"]) * (sp.Symbol("q") if mu == lift else 1)
-        coeffs[mu] = (num, _sympy_poly(sp, c["den"]))
+        num = sympy_poly(sp, c["num"]) * (sp.Symbol("q") if mu == lift else 1)
+        coeffs[mu] = (num, sympy_poly(sp, c["den"]))
     total = 0
     for mu, (num, _) in coeffs.items():
         exps = ([int(p) for p in mu.split(",") if p] + [0] * n)[:n]

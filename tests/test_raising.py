@@ -19,6 +19,7 @@ from macdo.raising import (block_coeff, block_coeff_interp, degree_bound_check,
                            raising_block_recurrence, raising_diff, raising_on_kernel,
                            recurrence_weight, row_raising_op)
 from macdo.serialize import poly_to_obj
+from sympy_util import sympy_poly
 
 U1 = universe(1)
 U2 = universe(2)
@@ -144,16 +145,9 @@ def test_kernel_images_are_built_once_per_pair():
 ORACLE_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2))
 
 
-def _sympy_poly(sp, obj):
-    """A macdo polynomial, read from its serialized form, as a sympy expression."""
-    names = sp.symbols(obj["vars"])
-    return sp.Add(*(int(tm["c"]) * sp.Mul(*(v ** e for v, e in zip(names, tm["e"])))
-                    for tm in obj["terms"]))
-
-
 def _sympy_frac(sp, fr):
-    den = sp.Mul(*(_sympy_poly(sp, poly_to_obj(f)) ** mult for f, mult in fr.bag))
-    return _sympy_poly(sp, poly_to_obj(fr.num)) / den
+    den = sp.Mul(*(sympy_poly(sp, poly_to_obj(f)) ** mult for f, mult in fr.bag))
+    return sympy_poly(sp, poly_to_obj(fr.num)) / den
 
 
 def _sympy_dual_operator_on_kernel(sp, m, n):
