@@ -930,6 +930,38 @@ class Frac:
         return self._map(lambda p: p.subs_monomials(assign))
 
 
+def _oriented(u: VarUniverse, num: MPoly, bag: dict):
+    """Rewrite each bag factor 1 + c X^v with c = +-1, X^v below 1 and v
+    on q and x only as 1 + c X^-v; returns the new (num, bag).
+
+    1 + c X^v = c X^v (1 + c X^-v), so each copy moves the unit c X^-v into
+    the numerator, through the checked ``mono_mul``.  The associates
+    1 - x1/x2 and 1 - x2/x1 thus become one factor.
+    """
+    base = u.one_key
+    out, shift, sign = {}, {}, 1
+    for f, m in bag.items():
+        tm = f.terms
+        k = min(tm) if len(tm) == 2 else base
+        if k < base and tm.get(base) == 1 and tm[k] in (1, -1):
+            vec = u.unpack(k)
+            if all(lau or not e for e, lau in zip(vec, u._laurent)):
+                c = tm[k]
+                neg = {}
+                for nm, e in zip(u.names, vec):
+                    if e:
+                        neg[nm] = -e
+                        shift[nm] = shift.get(nm, 0) - e * m
+                if c < 0 and m % 2:
+                    sign = -sign
+                f = u.one() + u.mono(c, neg)
+        out[f] = out.get(f, 0) + m
+    shift = {nm: e for nm, e in shift.items() if e}
+    if shift or sign < 0:
+        num = num.mono_mul(sign, shift)
+    return num, out
+
+
 def frac_sum(u: VarUniverse, terms, *, cancel: bool = False) -> Frac:
     """Sum fractions over the union of their factored denominators.
 
@@ -938,8 +970,14 @@ def frac_sum(u: VarUniverse, terms, *, cancel: bool = False) -> Frac:
     factor bags.  Without ``cancel`` the result is identical to clearing
     everything to the multiset union at once, just far cheaper on big sums.
 
-    With ``cancel`` each merge also trial-divides the new numerator by every
-    two-term factor found in both bags, up to the smaller of its two
+    With ``cancel`` each term's bag is first oriented (:func:`_oriented`):
+    a factor 1 + c X^v with c = +-1, X^v below 1 in the term order and v on
+    q and x only becomes 1 + c X^-v, and each copy's unit c X^-v moves into
+    the numerator.  The two orientations of one pole (1 - x1/x2 and
+    1 - x2/x1, 1 - q^-1 x3/x1 and 1 - q x1/x3) thus meet as one shared
+    factor.  Factors that touch t, u or y, x_i - x_j and multi-term factors
+    keep their form.  Each merge then trial-divides the new numerator by
+    every two-term factor found in both bags, up to the smaller of its two
     multiplicities, and drops each factor that divides exactly from the
     union bag.  The value is unchanged; numerators stay small because shared
     poles cancel as the sum proceeds instead of all at the end.  Only
@@ -960,7 +998,8 @@ def frac_sum(u: VarUniverse, terms, *, cancel: bool = False) -> Frac:
     for tm in terms:
         tm = as_frac(u, tm)
         if not tm.num.is_zero():
-            items.append((tm.num, tm._bagdict()))
+            items.append(_oriented(u, tm.num, tm._bagdict()) if cancel
+                         else (tm.num, tm._bagdict()))
     if not items:
         return Frac(u.zero())
     while len(items) > 1:

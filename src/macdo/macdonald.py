@@ -42,7 +42,10 @@ class QDiffOp:
 
         The sum cancels shared two-term denominator factors as it merges
         (see :func:`frac_sum`), so the image's bag may be smaller than the
-        union of the coefficients' bags.
+        union of the coefficients' bags.  Before it merges, the sum orients
+        each binomial pole 1 + c X^v on q and x (c = +-1) so that X^v lies
+        above 1, moving the unit into the numerator; both orientations of a
+        pole, which the coefficients of B_m carry, then cancel as one.
         """
         f = as_frac(self.u, f)
         terms = []

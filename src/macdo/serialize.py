@@ -71,6 +71,18 @@ def dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+DETAIL_TERMS = 20  # most terms of a difference that a failure report writes
+
+
 def diff_text(diff: Frac) -> str:
-    """Failure artifact: the cross-multiplied difference, display-normalized."""
-    return diff.num.content_normalized().text()
+    """Failure artifact: the cross-multiplied difference, display-normalized.
+
+    At most ``DETAIL_TERMS`` terms are written, the leading ones in canonical
+    order, followed by the count left out and the total.
+    """
+    p = diff.num.content_normalized()
+    total = len(p.terms)
+    if total <= DETAIL_TERMS:
+        return p.text()
+    head = MPoly(p.u, dict(p.sort_key()[:DETAIL_TERMS]))
+    return "%s + ... (%d more terms, %d in all)" % (head.text(), total - DETAIL_TERMS, total)

@@ -260,6 +260,61 @@ def test_frac_sum_matches_pairwise():
     assert s.eq(acc)
 
 
+def test_cancelling_sum_orients_associate_factors():
+    # 1 + c x2/x1 = c (x2/x1) (1 + c x1/x2): the cancelling sum keeps the
+    # orientation whose non-constant key lies above 1, and moves the unit
+    # (c x1/x2)^m into the numerator
+    r = U.mono(1, {"x1": 1, "x2": -1})
+    r_inv = U.mono(1, {"x1": -1, "x2": 1})
+    for c in (-1, 1):
+        up, down = ONE + r.scale(c), ONE + r_inv.scale(c)
+        for m in (1, 2, 3):
+            unit = mp_prod(U, [r.scale(c)] * m)
+            terms = [Frac(ONE + Q, {up: m}), Frac(T, {down: m})]
+            plain = frac_sum(U, terms)
+            cancelled = frac_sum(U, terms, cancel=True)
+            assert plain.bag == Frac(ONE, {up: m, down: m}).bag
+            assert cancelled.bag == ((up, m),), (c, m)
+            assert cancelled.num == ONE + Q + T * unit, (c, m)
+            assert cancelled.eq(plain)
+            # a sum that is a polynomial: p + (g c^m X^m - g c^m X^m) / up^m
+            p, g = Q + T * X1, ONE + U.y(1)
+            terms = [Frac(p * mp_prod(U, [up] * m) - g * unit, {up: m}),
+                     Frac(g, {down: m})]
+            plain = frac_sum(U, terms)
+            cancelled = frac_sum(U, terms, cancel=True)
+            assert cancelled.bag == ()
+            assert cancelled.as_poly() == plain.as_poly() == p
+            assert cancelled.eq(plain)
+
+
+def test_cancelling_sum_orients_only_q_x_binomials_through_one():
+    down = ONE - U.mono(1, {"q": -1, "x1": -1, "x2": 1})
+    up = ONE - U.mono(1, {"q": 1, "x1": 1, "x2": -1})
+    s = frac_sum(U, [Frac(ONE + T, {down: 1})], cancel=True)
+    assert s.bag == ((up, 1),)
+    assert s.num == (ONE + T) * U.mono(-1, {"q": 1, "x1": 1, "x2": -1})
+    # a step on t or y, a constant other than 1, no constant, an oriented
+    # factor, a non-unit coefficient and three terms all stay as they are
+    kept = {ONE - U.mono(1, {"q": -1, "t": 1}): 1, ONE - U.mono(1, {"x1": -1, "y1": 1}): 2,
+            U.mono(1, {"q": -1}) - ONE: 1, X1 - X2: 1, ONE - Q * Q: 1, up: 1,
+            ONE - U.mono(2, {"x1": -1}): 1, ONE + X1 + X2: 1}
+    s = frac_sum(U, [Frac(ONE + Q, kept)], cancel=True)
+    assert s.num == ONE + Q
+    assert s.bag == Frac(ONE, kept).bag
+
+
+def test_cancelling_sum_refuses_a_shift_past_the_packed_field():
+    # 1 - 1/x1 becomes 1 - x1 and moves -x1 into the numerator
+    num = U.mono(1, {"x1": 2 ** 27 - 1})
+    f = Frac(num, {ONE - U.mono(1, {"x1": -1}): 1})
+    assert frac_sum(U, [f]).num == num
+    with pytest.raises(ValueError):
+        frac_sum(U, [f], cancel=True)
+    ok = Frac(U.mono(1, {"x1": 2 ** 27 - 2}), f.bag)
+    assert frac_sum(U, [ok], cancel=True).num == U.mono(-1, {"x1": 2 ** 27 - 1})
+
+
 PARTLY_CANCELLING = Frac((ONE - Q) * (ONE + T), {ONE - Q: 2, ONE + T: 1, X1 - X2: 1})
 
 

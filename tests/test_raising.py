@@ -18,7 +18,7 @@ from macdo.raising import (block_coeff, block_coeff_interp, degree_bound_check,
                            order_bound_check, raising_block, raising_block_entry,
                            raising_block_recurrence, raising_diff, raising_on_kernel,
                            recurrence_weight, row_raising_op)
-from macdo.serialize import poly_to_obj
+from macdo.serialize import op_to_obj, poly_to_obj
 from sympy_util import sympy_poly
 
 U1 = universe(1)
@@ -185,6 +185,47 @@ def test_sympy_kernel_oracle_rejects_the_unlowered_image():
     for m, n in ORACLE_PAIRS:
         image, _ = _sympy_dual_operator_on_kernel(sp, m, n)
         assert sp.cancel(_sympy_frac(sp, lowered_kernel(m, n)) - image) != 0, (m, n)
+
+
+# (2,2) is left out: its sp.cancel alone takes about a minute
+OP_ORACLE_PAIRS = ((1, 1), (1, 2), (2, 1))
+
+
+def _sympy_operator_on_kernel(sp, m, n, lift=0):
+    """Serialized B_m applied in sympy to prod (1 + x_i y_j).
+
+    ``lift`` raises the q power of the first coefficient's numerator.
+    """
+    q = sp.Symbol("q")
+    xs = sp.symbols(["x%d" % i for i in range(1, n + 1)])
+    ys = sp.symbols(["y%d" % j for j in range(1, m + 1)])
+    total = 0
+    for i, c in enumerate(op_to_obj(row_raising_op(m, n), m)["coeffs"]):
+        num = sympy_poly(sp, c["num"]) * q ** (lift if i == 0 else 0)
+        shifted = [q ** g * x for g, x in zip(c["gamma"], xs)]
+        total += num / sympy_poly(sp, c["den"]) * sp.Mul(*(1 + x * y for x in shifted
+                                                           for y in ys))
+    return total
+
+
+def test_raising_op_on_kernel_matches_an_independent_sympy_construction():
+    # the build (read back from its serialized form) and the cancelling
+    # apply, each against D_y(1;t,q) built in sympy alone
+    sp = pytest.importorskip("sympy")
+    for m, n in OP_ORACLE_PAIRS:
+        image, ys = _sympy_dual_operator_on_kernel(sp, m, n)
+        assert sp.cancel(_sympy_operator_on_kernel(sp, m, n) - image / ys) == 0, (m, n)
+        assert sp.cancel(_sympy_frac(sp, raising_on_kernel(m, n)) - image / ys) == 0, (m, n)
+
+
+def test_sympy_operator_oracle_rejects_a_shifted_coefficient():
+    # negative control: one coefficient's numerator times q breaks both checks
+    sp = pytest.importorskip("sympy")
+    for m, n in OP_ORACLE_PAIRS:
+        image, ys = _sympy_dual_operator_on_kernel(sp, m, n)
+        lifted = _sympy_operator_on_kernel(sp, m, n, lift=1)
+        assert sp.cancel(lifted - image / ys) != 0, (m, n)
+        assert sp.cancel(_sympy_frac(sp, raising_on_kernel(m, n)) - lifted) != 0, (m, n)
 
 
 def _sympy_qbinom_x(sp, alpha, beta, lift=0):

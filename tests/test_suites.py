@@ -73,6 +73,20 @@ def test_failing_case_carries_detail():
     assert reports[0]["detail"]  # the cross-multiplied difference text
 
 
+def test_failure_detail_is_bounded():
+    from macdo.algebra import Frac, mp_sum, universe
+    from macdo.serialize import DETAIL_TERMS, diff_text
+
+    u = universe(1)
+    q = u.gen("q")
+    small = Frac(mp_sum(u, [q.mono_mul(2, {"q": i}) for i in range(DETAIL_TERMS)]))
+    assert diff_text(small) == small.num.content_normalized().text()
+    total = DETAIL_TERMS + 7
+    big = Frac(mp_sum(u, [q.mono_mul(-2, {"q": i}) for i in range(total)]))
+    head = mp_sum(u, [q.mono_mul(1, {"q": i}) for i in range(7, total)])
+    assert diff_text(big) == "%s + ... (7 more terms, %d in all)" % (head.text(), total)
+
+
 def test_crashing_case_is_reported_not_raised():
     from macdo.suites import _bool_case
 
