@@ -7,11 +7,12 @@ packed into a single integer (28 bits per variable, offset so that negative
 exponents pack monotonically), which makes monomial multiplication a single
 integer addition and makes the canonical term order (lexicographic on the
 fixed variable order q, t, u, x1.., y1.., exponents compared high-to-low)
-plain integer comparison of keys.  The constructors, the shifts (``qshift``,
-``mono_mul``) and ``subs_monomials`` reject an exponent outside
-[-2^27, 2^27) rather than let it spill into the next field; ``MPoly.__mul__``
-adds keys unchecked, because a check per term product would cost more than
-the product.  Clearing fractions to a common denominator multiplies mostly
+plain integer comparison of keys.  The constructors, ``mono_mul`` and the
+one substitution kernel (``MPoly._remap``, behind ``qshift``,
+``subs_monomials`` and ``convert``) reject an exponent outside [-2^27, 2^27)
+rather than let it spill into the next field; ``MPoly.__mul__`` adds keys
+unchecked, because a check per term product would cost more than the
+product.  Clearing fractions to a common denominator multiplies mostly
 by two-term bag factors; a product with a two-term operand, on either side,
 takes two linear passes over the other operand (``_mul_binomial``), the
 counterpart of the chain walk that divides by one (``_div_binomial``).
@@ -179,6 +180,32 @@ def _chk_u(a: VarUniverse, b: VarUniverse):
         raise UniverseMismatch("%r vs %r" % (a, b))
 
 
+@lru_cache(maxsize=None)
+def _remap_plan(src: VarUniverse, target: VarUniverse, images: tuple) -> tuple:
+    """The moves and checks of ``MPoly._remap``, worked out once per substitution."""
+    same = src == target
+    img = [None if j is None else (((j, 1),), 1) for j in map(target._pos.get, src.names)]
+    for i, exps, sign in images:
+        img[i] = None if exps is None else (exps, sign)
+    moves, cols, polar, absent = [], [], set(), []
+    colsum = [0] * target.nvars
+    for i, (s, im) in enumerate(zip(src._shift, img)):
+        if im is None:
+            absent.append(i)
+            continue
+        cols.append((s, im[0]))
+        for j, e in im[0]:
+            colsum[j] += abs(e)
+            if not target._laurent[j] and (e < 0 or src._laurent[i]):
+                polar.add(j)  # a negative q or x exponent can land on t, u or y
+        if not same or im != (((i, 1),), 1):
+            off = sum(e << target._shift[j] for j, e in im[0]) - (1 << s if same else 0)
+            moves.append((s, off, im[1] < 0))
+    # no result exponent exceeds the largest input one times the largest column sum
+    bits = _W - 1 - max(colsum).bit_length()
+    return same, tuple(moves), tuple(cols), bits, tuple(polar), tuple(absent)
+
+
 class MPoly:
     """Sparse Laurent polynomial over arbitrary-precision integers.
 
@@ -331,9 +358,9 @@ class MPoly:
         """True when every exponent of every term lies in [-2^bits, 2^bits)."""
         # subtracting B - 2^bits from each field maps those exponents to
         # [0, 2^(bits+1)) without a borrow; any other exponent sets a higher bit
-        sh = self.u._shift
-        lo = sum((_B - (1 << bits)) << s for s in sh)
-        high = sum((_MASK >> (bits + 1) << (bits + 1)) << s for s in sh)
+        ones = self.u.one_key >> (_W - 1)  # the lowest bit of every field
+        lo = (_B - (1 << bits)) * ones
+        high = (_MASK >> (bits + 1) << (bits + 1)) * ones
         return not any((k - lo) & high for k in self.terms)
 
     def _min_vec(self):
@@ -352,20 +379,8 @@ class MPoly:
         u = self.u
         if len(gamma) > u.n_x:
             raise ValueError("shift vector longer than the x variables")
-        shifts = [u._shift[u._x0 + i] for i in range(len(gamma))]
-        sv = u._shift[0]
-        out = {}
-        for k, c in self.terms.items():
-            d = 0
-            for g, s in zip(gamma, shifts):
-                if g:
-                    d += g * (((k >> s) & _MASK) - _B)
-            out[k + (d << sv)] = c
-        # q is the most significant field, so a q exponent outside its range
-        # shows as a negative key or as bits above the field
-        if out and (min(out) < 0 or max(out) >> sv > _MASK):
-            raise ValueError("q-shift overflows the %d-bit packed q field" % _W)
-        return MPoly(u, out)
+        return self._remap(u, tuple((u._x0 + i, ((0, g), (u._x0 + i, 1)), 1)
+                                    for i, g in enumerate(gamma) if g))
 
     def subs_monomials(self, assign: dict) -> "MPoly":
         """Substitute variables by (invertible) monomials, exactly.
@@ -373,61 +388,20 @@ class MPoly:
         ``assign`` maps a variable name to a single-term MPoly in the same
         universe whose coefficient is +-1, e.g. x1 -> -q^{-2} x3^{-1}.
         Raises ValueError when an exponent of the result leaves its packed
-        field, or when the result has a negative exponent on t, u or y.
+        field, or when a term of the result has a negative exponent on t, u
+        or y.
         """
         u = self.u
-        base = u.one_key
-        subs = []
-        # no result exponent exceeds gain times the largest input exponent
-        # in absolute value
-        gain = 1
-        # t, u and y positions that a negative q or x exponent can reach
-        polar = set()
+        images = []
         for nm, mono in assign.items():
             if mono.u != u or len(mono.terms) != 1:
                 raise ValueError("substitution value for %s must be a monomial" % nm)
             ((mk, mc),) = mono.terms.items()
             if mc not in (1, -1):
                 raise ValueError("substitution monomial must have unit coefficient")
-            i = u.pos(nm)
-            subs.append((u._shift[i], mk - base, mc))
-            vec = u.unpack(mk)
-            gain += sum(map(abs, vec))
-            if u._laurent[i]:
-                polar.update(j for j, e in enumerate(vec) if e and not u._laurent[j])
-        bits = _W - 1 - gain.bit_length()
-        if bits < 0 or not self._exps_within(bits):
-            # exponents this large may overflow: compute each term's exactly
-            for k in self.terms:
-                old = u.unpack(k)
-                new = list(old)
-                for s, moff, _ in subs:
-                    i = u._shift.index(s)
-                    new[i] -= old[i]
-                    new = [a + old[i] * b for a, b in zip(new, u.unpack(moff + base))]
-                if not all(-_B <= a < _B for a in new):
-                    raise ValueError("monomial substitution overflows a %d-bit packed field"
-                                     % _W)
-        out = {}
-        for k, c in self.terms.items():
-            nk, nc = k, c
-            for s, moff, mc in subs:
-                e = ((k >> s) & _MASK) - _B
-                if e:
-                    nk += e * moff - (e << s)
-                    if mc < 0 and e % 2:
-                        nc = -nc
-            pc = out.get(nk, 0) + nc
-            if pc:
-                out[nk] = pc
-            else:
-                del out[nk]
-        for j in sorted(polar):
-            s = u._shift[j]
-            if any(((k >> s) & _MASK) < _B for k in out):
-                raise ValueError("monomial substitution leaves a negative exponent on %s"
-                                 % u.names[j])
-        return MPoly(u, out)
+            exps = tuple((j, e) for j, e in enumerate(u.unpack(mk)) if e)
+            images.append((u.pos(nm), exps, mc))
+        return self._remap(u, tuple(images))
 
     def convert(self, target: VarUniverse, rename: dict | None = None) -> "MPoly":
         """Re-express this polynomial in another universe, optionally renaming.
@@ -435,28 +409,50 @@ class MPoly:
         Every variable carrying a nonzero exponent must map to a target
         variable; Laurent legality is re-checked in the target.
         """
-        u = self.u
         rename = rename or {}
-        dest = []
-        for i, nm in enumerate(u.names):
-            dn = rename.get(nm, nm)
-            dest.append(target._pos.get(dn, -1))
+        dest = (target._pos.get(rename.get(nm, nm)) for nm in self.u.names)
+        return self._remap(target, tuple((i, None if j is None else ((j, 1),), 1)
+                                         for i, j in enumerate(dest)))
+
+    def _remap(self, target: VarUniverse, images: tuple) -> "MPoly":
+        """Substitute variables by +-1 monomials of ``target``, in packed keys.
+
+        ``images`` holds (source position, image, sign) triples; an image is
+        a tuple of (target position, exponent) pairs, or None for no image.
+        An unlisted variable keeps its name in the target, or has no image.
+        """
+        u, terms = self.u, self.terms
+        same, moves, cols, bits, polar, absent = _remap_plan(u, target, images)
+        for i in absent:
+            s = u._shift[i]
+            if any((k >> s) & _MASK != _B for k in terms):
+                raise ValueError("variable %s not present in target" % u.names[i])
+        if bits < 0 or not self._exps_within(bits):
+            # exponents this large may overflow: compute each term's exactly
+            for k in terms:
+                new = [0] * target.nvars
+                for s, exps in cols:
+                    for j, a in exps:
+                        new[j] += (((k >> s) & _MASK) - _B) * a
+                target._check_exps(new)
+        base = target.one_key
         out = {}
-        for k, c in self.terms.items():
-            vec = [0] * target.nvars
-            for i, s in enumerate(u._shift):
+        get = out.get
+        for k, c in terms.items():
+            nk = k if same else base  # in one universe, identity fields stay put
+            for s, off, neg in moves:
                 e = ((k >> s) & _MASK) - _B
                 if e:
-                    if dest[i] < 0:
-                        raise ValueError("variable %s not present in target" % u.names[i])
-                    vec[dest[i]] += e
-            target._check_exps(vec)
-            nk = target.pack(vec)
-            nc = out.get(nk, 0) + c
-            if nc:
-                out[nk] = nc
-            else:
-                del out[nk]
+                    nk += e * off
+                    if neg and e & 1:
+                        c = -c
+            out[nk] = get(nk, 0) + c
+        for j in polar:  # cancelled terms are still in out: each term is judged
+            s = target._shift[j]
+            if any(((k >> s) & _MASK) < _B for k in out):
+                raise ValueError("negative exponent on %s is not allowed" % target.names[j])
+        if len(out) < len(terms):  # terms merged: drop those that cancelled
+            out = {k: c for k, c in out.items() if c}
         return MPoly(target, out)
 
     def coeff_of(self, exps: dict) -> "MPoly":

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache, wraps
-from math import comb
 
 
 class Partition(tuple):
@@ -168,10 +167,6 @@ def mi_leq(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def mi_lt(a, b) -> bool:
-    return mi_leq(a, b) and a != b
-
-
 def mi_sub(a, b) -> tuple:
     if not mi_leq(b, a):
         raise ValueError("%r is not componentwise below %r" % (b, a))
@@ -205,7 +200,3 @@ def box_below(alpha) -> list:
         key=lambda b: (sum(b), tuple(-x for x in b)),
     )
     return betas
-
-
-def count_weak_compositions(m: int, n: int) -> int:
-    return comb(m + n - 1, n - 1) if n > 0 else (1 if m == 0 else 0)

@@ -7,6 +7,7 @@ import pytest
 from macdo.algebra import (Frac, MPoly, NotDivisible, UniverseMismatch,
                            frac_sum, mp_prod, mp_sum, qpoch, qpoch_factors,
                            try_div, universe, universe_of_names)
+from macdo.macdonald import dual_lowering
 from macdo.serialize import poly_from_obj, poly_to_obj
 
 
@@ -148,6 +149,46 @@ def test_subs_monomials_keeps_the_exponent_rule():
     got = u2.mono(1, {"x1": 2, "x2": -1}).subs_monomials(tx)
     assert got == u2.mono(1, {"t": 1, "x1": 2, "x2": -1})
     got.validate()
+
+
+def test_convert_refuses_packed_overflow():
+    # merging x2 into x1 adds their exponents, in the same universe or a smaller one
+    u2, u1 = universe(2), universe(1)
+    top, bottom = 2 ** 27 - 1, -2 ** 27
+    for target in (u2, u1):
+        merge = {"x2": "x1"}
+        assert u2.mono(3, {"x1": top - 5, "x2": 5}).convert(target, merge) == \
+            target.mono(3, {"x1": top})
+        assert u2.mono(1, {"x1": bottom + 5, "x2": -5}).convert(target, merge) == \
+            target.mono(1, {"x1": bottom})
+        with pytest.raises(ValueError):
+            u2.mono(1, {"x1": top - 4, "x2": 5}).convert(target, merge)
+        with pytest.raises(ValueError):
+            u2.mono(1, {"x1": bottom + 4, "x2": -5}).convert(target, merge)
+
+
+def test_convert_keeps_the_exponent_rule():
+    # the duality q <-> t, x <-> y: a negative q exponent would land on t
+    uxy = universe(1, 1)
+    duality = {"q": "t", "t": "q", "x1": "y1", "y1": "x1"}
+    assert uxy.mono(1, {"q": 2, "y1": 1}).convert(uxy, duality) == \
+        uxy.mono(1, {"t": 2, "x1": 1})
+    with pytest.raises(ValueError):
+        uxy.mono(1, {"q": -1}).convert(uxy, duality)
+    with pytest.raises(ValueError):
+        uxy.mono(1, {"x1": -1}).convert(uxy, duality)
+    with pytest.raises(ValueError):
+        dual_lowering(uxy.mono(1, {"q": -1, "y1": 1}))
+
+
+def test_convert_needs_every_used_variable_in_the_target():
+    uxy, ux = universe(2, 2), universe(2)
+    with pytest.raises(ValueError):
+        uxy.mono(1, {"x1": 1, "y2": 1}).convert(ux)
+    f = uxy.mono(2, {"q": -1, "t": 3, "x1": 2}) - uxy.mono(1, {"x2": -4}) + uxy.one()
+    g = f.convert(ux)
+    assert g == ux.mono(2, {"q": -1, "t": 3, "x1": 2}) - ux.mono(1, {"x2": -4}) + ux.one()
+    assert g.convert(uxy) == f
 
 
 def test_universe_of_names_accepts_only_the_canonical_list():

@@ -5,10 +5,10 @@ from math import comb
 
 import pytest
 
-from macdo.partitions import (Partition, box_below, count_weak_compositions,
-                              dominance_downset, dominance_order_list, mi_leq,
-                              mi_lt, mi_sub, multi_indices_upto,
-                              parse_partition, partitions_of, weak_compositions)
+from macdo.partitions import (Partition, box_below, dominance_downset,
+                              dominance_order_list, mi_leq, mi_sub,
+                              multi_indices_upto, parse_partition, partitions_of,
+                              weak_compositions)
 
 
 def brute_dominates(lam, mu):
@@ -106,7 +106,7 @@ def test_weak_compositions_count():
     for m in range(7):
         for n in range(1, 7):
             got = weak_compositions(m, n)
-            assert len(got) == comb(m + n - 1, n - 1) == count_weak_compositions(m, n)
+            assert len(got) == comb(m + n - 1, n - 1)
             assert len(set(got)) == len(got)
 
 
