@@ -10,15 +10,17 @@ fixed variable order q, t, u, x1.., y1.., exponents compared high-to-low)
 plain integer comparison of keys.  The constructors, ``mono_mul`` and the
 one substitution kernel (``MPoly._remap``, behind ``qshift``,
 ``subs_monomials`` and ``convert``) reject an exponent outside [-2^27, 2^27)
-rather than let it spill into the next field; ``MPoly.__mul__`` adds keys
-unchecked, because a check per term product would cost more than the
-product.  Clearing fractions to a common denominator multiplies mostly
-by two-term bag factors; a product with a two-term operand, on either side,
-takes two linear passes over the other operand (``_mul_binomial``), the
-counterpart of the chain walk that divides by one (``_div_binomial``).
-Neither kernel sorts keys: the product's first pass is a plain copy when the
-two-term operand holds the constant 1 (1 - q^c x_i/x_j, 1 - q^k), and the
-walk takes its chains from buckets of one exponent field, in walk order.
+rather than let it spill into the next field; the last two test all keys in
+one pass and compute each term's exponents (``_check_images``) only when
+that pass fails.  ``MPoly.__mul__`` adds keys unchecked, because a check per
+term product would cost more than the product.  Clearing fractions to a
+common denominator multiplies mostly by two-term bag factors; a product with
+a two-term operand, on either side, takes two linear passes over the other
+operand (``_mul_binomial``), the counterpart of the chain walk that divides
+by one (``_div_binomial``).  Neither kernel sorts keys: the product's first
+pass is a plain copy when the two-term operand holds the constant 1
+(1 - q^c x_i/x_j, 1 - q^k), and the walk takes its chains from buckets of
+one exponent field, in walk order.
 
 Fractions carry their denominator as a multiset of polynomial factors and
 are never reduced to lowest terms.  Equality is decided by
@@ -322,15 +324,18 @@ class MPoly:
     __rmul__ = __mul__
 
     def mono_mul(self, c: int, exps: dict) -> "MPoly":
-        """Fast multiply by the monomial c * prod(var^e)."""
+        """Fast multiply by the monomial c * prod(var^e); ValueError on field overflow."""
         if not c:
             return self.u.zero()
-        for nm, e in exps.items():
-            self._check_shift(nm, e)
-        off = self.u.mono(1, exps)
-        (k0,) = off.terms
-        off_key = k0 - self.u.one_key
-        return MPoly(self.u, {k + off_key: c * v for k, v in self.terms.items()})
+        u = self.u
+        (k0,) = u.mono(1, exps).terms
+        # exponents in [-2^26, 2^26) moved by less than 2^26 stay in their
+        # fields; otherwise compute each term's exactly
+        if max(map(abs, exps.values()), default=0) >> (_W - 2) or not self._exps_within(_W - 2):
+            self._check_images(u, [(s, ((i, 1),)) for i, s in enumerate(u._shift)],
+                               u.unpack(k0))
+        off_key = k0 - u.one_key
+        return MPoly(u, {k + off_key: c * v for k, v in self.terms.items()})
 
     # -- degrees -------------------------------------------------------------
 
@@ -347,13 +352,6 @@ class MPoly:
         s = self.u._shift[self.u.pos(name)]
         return min(((k >> s) & _MASK) for k in self.terms) - _B
 
-    def _check_shift(self, name: str, e: int):
-        """Raise ValueError if adding e to each exponent of name leaves its field."""
-        if e and self.terms and not (-_B <= self.min_exp(name) + e
-                                     and self.max_exp(name) + e < _B):
-            raise ValueError("shifting %s by %d overflows its %d-bit packed field"
-                             % (name, e, _W))
-
     def _exps_within(self, bits: int) -> bool:
         """True when every exponent of every term lies in [-2^bits, 2^bits)."""
         # subtracting B - 2^bits from each field maps those exponents to
@@ -363,14 +361,20 @@ class MPoly:
         high = (_MASK >> (bits + 1) << (bits + 1)) * ones
         return not any((k - lo) & high for k in self.terms)
 
-    def _min_vec(self):
-        mins = [_MASK] * self.u.nvars
+    def _check_images(self, target: VarUniverse, cols, add):
+        """Raise ValueError unless each term's image fits ``target``'s fields.
+
+        The image is ``add`` plus, for each (shift, exps) of ``cols``, the
+        exponent at that shift times the (target position, exponent) pairs
+        of ``exps``, computed exactly, term by term.
+        """
         for k in self.terms:
-            for i, s in enumerate(self.u._shift):
-                f = (k >> s) & _MASK
-                if f < mins[i]:
-                    mins[i] = f
-        return [m - _B for m in mins]
+            new = list(add)
+            for s, exps in cols:
+                e = ((k >> s) & _MASK) - _B
+                for j, a in exps:
+                    new[j] += e * a
+            target._check_exps(new)
 
     # -- shifts and substitutions ---------------------------------------------
 
@@ -429,12 +433,7 @@ class MPoly:
                 raise ValueError("variable %s not present in target" % u.names[i])
         if bits < 0 or not self._exps_within(bits):
             # exponents this large may overflow: compute each term's exactly
-            for k in terms:
-                new = [0] * target.nvars
-                for s, exps in cols:
-                    for j, a in exps:
-                        new[j] += (((k >> s) & _MASK) - _B) * a
-                target._check_exps(new)
+            self._check_images(target, cols, [0] * target.nvars)
         base = target.one_key
         out = {}
         get = out.get
@@ -635,9 +634,8 @@ def try_div(num: MPoly, den: MPoly):
         return _div_binomial(num, den)
     # shift both operands so every exponent is nonnegative, divide in N^k,
     # then shift the quotient back
-    nmin, dmin = num._min_vec(), den._min_vec()
-    noff = u.pack(nmin) - u.one_key
-    doff = u.pack(dmin) - u.one_key
+    noff = u.pack([num.min_exp(nm) for nm in u.names]) - u.one_key
+    doff = u.pack([den.min_exp(nm) for nm in u.names]) - u.one_key
     r = {k - noff: c for k, c in num.terms.items()}
     d = {k - doff: c for k, c in den.terms.items()}
     kd = max(d)
@@ -654,11 +652,10 @@ def try_div(num: MPoly, den: MPoly):
             continue
         del r[kr]
         kq = kr - kd + base
-        if cr % cd:
+        # a field's bit 27 is clear exactly where its exponent is negative,
+        # and base sets it in every field: one AND finds any such field
+        if cr % cd or kq & base != base:
             return None
-        for f in u._shift:
-            if ((kq >> f) & _MASK) < _B:
-                return None
         cq = cr // cd
         qu[kq] = cq
         off = kq - base

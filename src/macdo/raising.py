@@ -197,8 +197,11 @@ def row_raising_op(m: int, n: int) -> QDiffOp:
     """The raising operator B_m on n variables, in the shift basis T^gamma.
 
     Expands sum_alpha b_alpha phi_alpha and combines coefficients; memoized
-    per (m, n).
+    per (m, n).  Raises ValueError for m < 0, before anything is built or
+    cached.
     """
+    if m < 0:
+        raise ValueError("the row length m must be >= 0, not %d" % m)
     u = universe(n)
     acc: dict = {}
     for alpha in weak_compositions(m, n):

@@ -20,15 +20,26 @@ def poly_to_obj(p: MPoly) -> dict:
 
 
 def poly_from_obj(obj: dict) -> MPoly:
+    """Read a polynomial in the form ``poly_to_obj`` writes.
+
+    Raises ValueError unless each coefficient is the canonical decimal
+    string of a nonzero int and each exponent a JSON integer (not a bool, a
+    float or a string) that fits its packed field.
+    """
     u = universe_of_names(obj["vars"])
     out = {}
     for tm in obj["terms"]:
-        c = int(tm["c"])
+        s = tm["c"]
+        c = int(s) if isinstance(s, str) else None  # int() raises ValueError itself
+        if c is None or str(c) != s:
+            raise ValueError("coefficient %r is not a canonical decimal string" % (s,))
         if c == 0:
             raise ValueError("serialized polynomial carries a zero coefficient")
         e = tm["e"]
-        if len(e) != u.nvars:
+        if not isinstance(e, (list, tuple)) or len(e) != u.nvars:
             raise ValueError("exponent vector length mismatch")
+        if not all(type(x) is int for x in e):
+            raise ValueError("exponent vector %r holds a non-integer" % (e,))
         u._check_exps(e)
         k = u.pack(e)
         if k in out:

@@ -1,5 +1,6 @@
 """Core exact-arithmetic contracts: ring axioms, shifts, fractions, division."""
 
+import json
 import random
 
 import pytest
@@ -107,6 +108,18 @@ def test_mono_mul_refuses_packed_overflow():
         u.mono(-1, {"q": 2 ** 27 - 1, "t": 2 ** 27 - 1, "x1": -2 ** 27}) + \
         u.mono(-1, {"q": 2 ** 26 - 1})
     for exps in ({"q": 2 ** 26}, {"t": 1}, {"x1": -1}):
+        with pytest.raises(ValueError):
+            f.mono_mul(1, exps)
+
+
+def test_mono_mul_refuses_a_large_shift_of_small_exponents():
+    top, bottom = 2 ** 27 - 1, -2 ** 27
+    f = Q - X1 * U.mono(1, {"x2": -1}) + ONE
+    assert f.mono_mul(2, {"q": top - 1, "x2": bottom + 1}) == \
+        U.mono(2, {"q": top, "x2": bottom + 1}) + U.mono(2, {"q": top - 1, "x2": bottom + 1}) - \
+        U.mono(2, {"q": top - 1, "x1": 1, "x2": bottom})
+    for exps in ({"q": top}, {"x2": bottom}, {"t": 2, "x1": top}):
+        assert ONE.mono_mul(1, exps) == U.mono(1, exps)
         with pytest.raises(ValueError):
             f.mono_mul(1, exps)
 
@@ -272,6 +285,31 @@ def test_divide_detects_nondivisible_random():
         d = rnd_unit_multiple(rng)
         assert try_div(a * d + ONE, d) is None
     assert hits > 0
+
+
+def test_heap_division_stops_at_a_negative_quotient_exponent():
+    # x1 + x2 + q takes the heap path; every coefficient divides, so this
+    # division can fail only through the sign of a quotient exponent (the
+    # Laurent series of the quotient never ends)
+    den = X1 + X2 + Q
+    assert try_div(X1 * X1 + Q, den) is None
+    # negative x exponents in an exact quotient are shifted away and back
+    qu = X1 * U.mono(1, {"x2": -3}) - Q
+    assert try_div(den * qu, den) == qu
+
+
+def test_products_reach_both_ends_of_the_packed_field():
+    top, bottom, half = 2 ** 27 - 1, -2 ** 27, 2 ** 26
+    for var in ("q", "x1"):
+        def m(c, e):
+            return U.mono(c, {var: e})
+        b = m(1, half - 1) - m(1, -half) + T
+        two = m(1, half) + m(1, -half)
+        prod = m(1, top) - ONE + T * m(1, half) + m(1, -1) - m(1, bottom) + T * m(1, -half)
+        assert two * b == prod and b * two == prod  # the two-term path
+        assert (two + ONE) * b == prod + b  # the general loop
+        for p in (prod, prod + b):
+            p.validate()
 
 
 def test_qpochhammer():
@@ -596,6 +634,25 @@ def test_json_roundtrip_bit_exact():
         back = poly_from_obj(obj)
         assert back == p
         assert poly_to_obj(back) == obj
+
+
+def test_json_reader_refuses_values_the_writer_never_makes():
+    obj = poly_to_obj(U.mono(3, {"q": -1, "x1": 2}) + ONE)
+    for bad in (1.5, True, 3, "3.0", "03", "+3", " 3", "3 ", "1_000", "-0", "x", None):
+        o = json.loads(json.dumps(obj))
+        o["terms"][0]["c"] = bad
+        with pytest.raises(ValueError):
+            poly_from_obj(o)
+    for bad in (True, False, 1.0, 0.0, "1", None, [1]):
+        o = json.loads(json.dumps(obj))
+        o["terms"][0]["e"][U.pos("x2")] = bad
+        with pytest.raises(ValueError):
+            poly_from_obj(o)
+    for bad in (5, "11111111", None):
+        o = json.loads(json.dumps(obj))
+        o["terms"][0]["e"] = bad
+        with pytest.raises(ValueError):
+            poly_from_obj(o)
 
 
 def test_mp_sum_prod_helpers():

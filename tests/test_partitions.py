@@ -102,6 +102,12 @@ def test_weak_compositions_examples():
     assert weak_compositions(0, 3) == [(0, 0, 0)]
 
 
+def test_weak_compositions_of_a_negative_weight_are_empty():
+    for n in range(5):
+        assert weak_compositions(-1, n) == []
+        assert weak_compositions(-3, n) == []
+
+
 def test_weak_compositions_count():
     for m in range(7):
         for n in range(1, 7):

@@ -81,6 +81,18 @@ def test_row_raising_identity_at_weight_zero():
     assert op.coeffs[(0, 0)].eq(Frac(U2.one()))
 
 
+def test_row_raising_refuses_a_negative_row_before_building(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("built a universe for a negative row")
+
+    monkeypatch.setattr("macdo.raising.universe", no_build)
+    cached = row_raising_op.cache_info().currsize
+    for m, n in ((-1, 1), (-1, 2), (-3, 3)):
+        with pytest.raises(ValueError):
+            row_raising_op(m, n)
+    assert row_raising_op.cache_info().currsize == cached
+
+
 def test_row_raising_n1_table():
     # B_1 = (x(1-t)/(1-q)) (T_q - q) in one variable
     op = row_raising_op(1, 1)
