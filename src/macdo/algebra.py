@@ -27,7 +27,9 @@ are never reduced to lowest terms.  Equality is decided by
 cross-multiplication, and "this fraction is actually a polynomial" is
 certified by exact trial division: one loop (``_divide_out``) divides bag
 factors out of a numerator for ``Frac.shrink``, ``Frac.as_poly`` and the
-cancelling ``frac_sum``.  No GCD, no factorization, no floating point.
+cancelling merge.  ``shrunk_sum`` returns what ``frac_sum(...).shrink()``
+returns, byte for byte, from that merge, without expanding the plain sum's
+numerator.  No GCD, no factorization, no floating point.
 
 Negative exponents are legal for q and the x variables only; building a
 value with a negative exponent on t, u or y through the public constructors
@@ -731,6 +733,14 @@ def _div_binomial(num: MPoly, den: MPoly):
     return MPoly(u, qu)
 
 
+def _times(num: MPoly, pairs) -> MPoly:
+    """num times f^k for each (f, k) of ``pairs``, one factor copy at a time."""
+    for f, k in pairs:
+        for _ in range(k):
+            num = num * f
+    return num
+
+
 def _divide_out(num: MPoly, tries):
     """Divide num by each factor f up to k times for (f, k) in ``tries``.
 
@@ -828,11 +838,7 @@ class Frac:
 
     @property
     def den(self) -> MPoly:
-        den = self.u.one()
-        for f, m in self.bag:
-            for _ in range(m):
-                den = den * f
-        return den
+        return _times(self.u.one(), self.bag)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -923,36 +929,91 @@ class Frac:
         return self._map(lambda p: p.subs_monomials(assign))
 
 
-def _oriented(u: VarUniverse, num: MPoly, bag: dict):
-    """Rewrite each bag factor 1 + c X^v with c = +-1, X^v below 1 and v
-    on q and x only as 1 + c X^-v; returns the new (num, bag).
+def _orient(u: VarUniverse, f: MPoly):
+    """(g, c, v) with f = c X^v g, when f = 1 + c X^v with c = +-1, X^v below
+    1 and v on q and x only, and g = 1 + c X^-v; (f, 1, None) otherwise.
 
-    1 + c X^v = c X^v (1 + c X^-v), so each copy moves the unit c X^-v into
-    the numerator, through the checked ``mono_mul``.  The associates
-    1 - x1/x2 and 1 - x2/x1 thus become one factor.
+    The associates 1 - x1/x2 and 1 - x2/x1 thus share one oriented form.
     """
     base = u.one_key
+    tm = f.terms
+    k = min(tm) if len(tm) == 2 else base
+    if k < base and tm.get(base) == 1 and tm[k] in (1, -1):
+        vec = u.unpack(k)
+        if all(lau or not e for e, lau in zip(vec, u._laurent)):
+            c = tm[k]
+            return u.one() + u.mono(c, {nm: -e for nm, e in zip(u.names, vec) if e}), c, vec
+    return f, 1, None
+
+
+def _orient_bag(u: VarUniverse, bag: dict):
+    """(oriented bag, sign, shift) with prod(bag) = sign X^shift prod(oriented bag)."""
     out, shift, sign = {}, {}, 1
     for f, m in bag.items():
-        tm = f.terms
-        k = min(tm) if len(tm) == 2 else base
-        if k < base and tm.get(base) == 1 and tm[k] in (1, -1):
-            vec = u.unpack(k)
-            if all(lau or not e for e, lau in zip(vec, u._laurent)):
-                c = tm[k]
-                neg = {}
-                for nm, e in zip(u.names, vec):
-                    if e:
-                        neg[nm] = -e
-                        shift[nm] = shift.get(nm, 0) - e * m
-                if c < 0 and m % 2:
-                    sign = -sign
-                f = u.one() + u.mono(c, neg)
-        out[f] = out.get(f, 0) + m
-    shift = {nm: e for nm, e in shift.items() if e}
+        g, c, vec = _orient(u, f)
+        if vec is not None:
+            for nm, e in zip(u.names, vec):
+                if e:
+                    shift[nm] = shift.get(nm, 0) + e * m
+            if c < 0 and m % 2:
+                sign = -sign
+        out[g] = out.get(g, 0) + m
+    return out, sign, {nm: e for nm, e in shift.items() if e}
+
+
+def _oriented(u: VarUniverse, num: MPoly, bag: dict):
+    """num / prod(bag) as (num', oriented bag): each copy of a factor moves
+    its unit c X^v (:func:`_orient`) into the numerator as c X^-v, through
+    the checked ``mono_mul``."""
+    out, sign, shift = _orient_bag(u, bag)
     if shift or sign < 0:
-        num = num.mono_mul(sign, shift)
+        num = num.mono_mul(sign, {nm: -e for nm, e in shift.items()})
     return num, out
+
+
+def _best_pair(bags) -> tuple:
+    """Indices i < j of the two bags that share the most factor copies; the
+    first such pair in scan order wins a tie."""
+    best, bi, bj = -1, 0, 1
+    for i in range(len(bags)):
+        bag_i = bags[i]
+        for j in range(i + 1, len(bags)):
+            bag_j = bags[j]
+            small, large = (bag_i, bag_j) if len(bag_i) < len(bag_j) else (bag_j, bag_i)
+            score = sum(min(m, large.get(f, 0)) for f, m in small.items())
+            if score > best:
+                best, bi, bj = score, i, j
+    return bi, bj
+
+
+def _union(b1: dict, b2: dict) -> dict:
+    union = dict(b1)
+    for f, m in b2.items():
+        if union.get(f, 0) < m:
+            union[f] = m
+    return union
+
+
+def _merge(n1: MPoly, b1: dict, n2: MPoly, b2: dict, cancel: bool):
+    """n1 / prod(b1) + n2 / prod(b2) over the union bag, as (num, bag).
+
+    A sum that vanishes gets the empty bag.  With ``cancel`` the sum is
+    trial-divided by every two-term factor of both bags, up to the smaller
+    multiplicity, and each factor that divides exactly leaves the bag.
+    """
+    union = _union(b1, b2)
+    s = (_times(n1, ((f, m - b1.get(f, 0)) for f, m in union.items())) +
+         _times(n2, ((f, m - b2.get(f, 0)) for f, m in union.items())))
+    if s.is_zero():
+        return s, {}
+    if cancel:
+        s, gone = _divide_out(s, [(f, min(m, b2.get(f, 0))) for f, m in b1.items()
+                                  if len(f.terms) == 2])
+        for f, k in gone.items():
+            union[f] -= k
+            if not union[f]:
+                del union[f]
+    return s, union
 
 
 def frac_sum(u: VarUniverse, terms, *, cancel: bool = False) -> Frac:
@@ -979,13 +1040,13 @@ def frac_sum(u: VarUniverse, terms, *, cancel: bool = False) -> Frac:
     eigenvalue gaps of the P solve) costs far more than it saves.
 
     Only :meth:`macdonald.QDiffOp.apply` cancels, and the reason is speed.
-    The B_m build keeps the plain merge because its cancelled coefficients
-    carry bags that make every later application of B_m slower (it would
-    also change the bytes ``operator --format json`` writes).  The terms of
-    the q-binomial and b_alpha sums already arrive with their shared
-    x-dependent factors cancelled (:meth:`Frac.from_factors`); cancelling in
-    the P solve and the other sums as well gained nothing measurable on top
-    of that, so they keep the plain merge.
+    The B_m build stores the plain sum's shrunk form, which
+    :func:`shrunk_sum` computes through the cancelling merge without
+    expanding the plain numerator.  The terms of the q-binomial and b_alpha
+    sums already arrive with their shared x-dependent factors cancelled
+    (:meth:`Frac.from_factors`); cancelling in the P solve and the other
+    sums as well gained nothing measurable on top of that, so they keep the
+    plain merge.
     """
     items = []
     for tm in terms:
@@ -996,36 +1057,89 @@ def frac_sum(u: VarUniverse, terms, *, cancel: bool = False) -> Frac:
     if not items:
         return Frac(u.zero())
     while len(items) > 1:
-        best, bi, bj = -1, 0, 1
-        for i in range(len(items)):
-            bag_i = items[i][1]
-            for j in range(i + 1, len(items)):
-                bag_j = items[j][1]
-                small, large = (bag_i, bag_j) if len(bag_i) < len(bag_j) else (bag_j, bag_i)
-                score = sum(min(m, large.get(f, 0)) for f, m in small.items())
-                if score > best:
-                    best, bi, bj = score, i, j
+        bi, bj = _best_pair([bag for _, bag in items])
         n2, b2 = items.pop(bj)
         n1, b1 = items.pop(bi)
-        union = dict(b1)
-        for f, m in b2.items():
-            if union.get(f, 0) < m:
-                union[f] = m
-        for f, m in union.items():
-            for _ in range(m - b1.get(f, 0)):
-                n1 = n1 * f
-            for _ in range(m - b2.get(f, 0)):
-                n2 = n2 * f
-        s = n1 + n2
-        if s.is_zero():
-            union = {}
-        elif cancel:
-            s, gone = _divide_out(s, [(f, min(m, b2.get(f, 0))) for f, m in b1.items()
-                                      if len(f.terms) == 2])
-            for f, k in gone.items():
-                union[f] -= k
-                if not union[f]:
-                    del union[f]
-        items.append((s, union))
+        items.append(_merge(n1, b1, n2, b2, cancel))
     num, bag = items[0]
     return Frac(num, bag)
+
+
+def _binomial_step(u: VarUniverse, f: MPoly):
+    """Primitive exponent step, first nonzero entry positive, of a two-term
+    factor with coefficients +-1; None for any other factor.
+
+    Such a factor is a unit times a product of cyclotomic polynomials in
+    X^step, so two of them with different steps share no factor.
+    """
+    tm = f.terms
+    if len(tm) != 2 or any(c not in (1, -1) for c in tm.values()):
+        return None
+    vec = [a - b for a, b in zip(u.unpack(max(tm)), u.unpack(min(tm)))]
+    g = math.gcd(*vec)
+    return tuple(e // g for e in vec)
+
+
+def shrunk_sum(u: VarUniverse, terms) -> Frac:
+    """``frac_sum(u, terms).shrink()``: the same numerator and the same bag,
+    without expanding the plain sum's numerator.
+
+    The plain sum's pairing is replayed on the raw bags, so its union bag U
+    comes out exactly, reset to {} wherever a partial sum vanishes; each
+    node's value travels in the oriented, cancelled form P / prod(D) of
+    ``frac_sum(cancel=True)``.  At the root the plain numerator is
+    N = w P prod(R), with w the orientation unit of U and R the oriented
+    U less D (D never exceeds it).  ``shrink``'s trial division is then
+    replayed over U's stored order.  A factor f whose oriented form g is
+    still in R leaves structurally; any other is decided by dividing
+    P prod(G) by g, with G the factors of R that :func:`_binomial_step`
+    cannot prove prime to g, since dividing out a factor prime to g changes
+    nothing about g's divisibility.  Raises ValueError where orienting a
+    term moves an exponent past its packed field.
+    """
+    items = []
+    for tm in terms:
+        tm = as_frac(u, tm)
+        if not tm.num.is_zero():
+            raw = tm._bagdict()
+            items.append((raw,) + _oriented(u, tm.num, raw))
+    if not items:
+        return Frac(u.zero())
+    while len(items) > 1:
+        bi, bj = _best_pair([raw for raw, _, _ in items])
+        raw2, p2, d2 = items.pop(bj)
+        raw1, p1, d1 = items.pop(bi)
+        p, d = _merge(p1, d1, p2, d2, True)
+        items.append((_union(raw1, raw2) if p else {}, p, d))
+    bag, p, d = items[0]
+    r = _orient_bag(u, bag)[0]
+    for g, k in d.items():
+        assert r.get(g, 0) >= k, "cancelled bag exceeds the oriented union"
+        r[g] -= k
+    r = {g: k for g, k in r.items() if k}
+    order = Frac(p, bag).bag
+    gone = {}
+    for f, m in order:
+        g = _orient(u, f)[0]
+        for _ in range(m):
+            if r.get(g):
+                r[g] -= 1
+                if not r[g]:
+                    del r[g]
+            else:
+                step = _binomial_step(u, g)
+                shared = [(h, k) for h, k in r.items()
+                          if step is None or _binomial_step(u, h) in (None, step)]
+                qu = try_div(_times(p, shared), g)
+                if qu is None:
+                    break
+                p = qu
+                for h, _ in shared:
+                    del r[h]
+            gone[f] = gone.get(f, 0) + 1
+    rest = {f: m - gone.get(f, 0) for f, m in order if m > gone.get(f, 0)}
+    p = _times(p, r.items())
+    _, sign, shift = _orient_bag(u, rest)
+    if shift or sign < 0:
+        p = p.mono_mul(sign, shift)
+    return Frac(p, rest)

@@ -175,7 +175,7 @@ def mi_sub(a, b) -> tuple:
 
 def weak_compositions(m: int, n: int) -> list:
     """All alpha in N^n with |alpha| = m, reverse-lex: (m,0,..,0) first."""
-    if m < 0:
+    if m < 0 or n < 0:
         return []
     if n == 0:
         return [()] if m == 0 else []

@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import comb
 
 from .algebra import (Frac, MPoly, NotDivisible, VarUniverse, cauchy_kernel,
-                      frac_sum, universe)
+                      frac_sum, shrunk_sum, universe)
 from .macdonald import (QDiffOp, cross_term, dual_lowering, macdonald_j,
                         macdonald_p, x_transposition_rename)
 from .partitions import (Partition, box_below, memo_per_partition, mi_leq,
@@ -210,7 +210,7 @@ def row_raising_op(m: int, n: int) -> QDiffOp:
             acc.setdefault(beta, []).append(b * phi)
     coeffs = {}
     for beta, parts in acc.items():
-        c = frac_sum(u, parts).shrink()
+        c = shrunk_sum(u, parts)
         if not c.is_zero():
             coeffs[beta] = c
     return QDiffOp(u, coeffs)

@@ -22,13 +22,20 @@ def poly_to_obj(p: MPoly) -> dict:
 def poly_from_obj(obj: dict) -> MPoly:
     """Read a polynomial in the form ``poly_to_obj`` writes.
 
-    Raises ValueError unless each coefficient is the canonical decimal
-    string of a nonzero int and each exponent a JSON integer (not a bool, a
-    float or a string) that fits its packed field.
+    Raises ValueError unless the object holds a ``vars`` list of names and
+    a ``terms`` list of objects with ``c`` and ``e`` keys, each coefficient is
+    the canonical decimal string of a nonzero int and each exponent a JSON
+    integer (not a bool, a float or a string) that fits its packed field.
     """
+    if (not isinstance(obj, dict) or not isinstance(obj.get("terms"), list)
+            or not isinstance(obj.get("vars"), list)
+            or not all(isinstance(nm, str) for nm in obj["vars"])):
+        raise ValueError("serialized polynomial needs a 'vars' list of names and a 'terms' list")
     u = universe_of_names(obj["vars"])
     out = {}
     for tm in obj["terms"]:
+        if not isinstance(tm, dict) or "c" not in tm or "e" not in tm:
+            raise ValueError("serialized term %r is not an object with 'c' and 'e'" % (tm,))
         s = tm["c"]
         c = int(s) if isinstance(s, str) else None  # int() raises ValueError itself
         if c is None or str(c) != s:

@@ -7,7 +7,7 @@ import pytest
 
 from macdo.algebra import (Frac, MPoly, NotDivisible, UniverseMismatch,
                            frac_sum, mp_prod, mp_sum, qpoch, qpoch_factors,
-                           try_div, universe, universe_of_names)
+                           shrunk_sum, try_div, universe, universe_of_names)
 from macdo.macdonald import dual_lowering
 from macdo.serialize import poly_from_obj, poly_to_obj
 
@@ -418,6 +418,90 @@ def test_shrink_preserves_value():
     assert g.bag == Frac(ONE, {ONE - Q: 1, X1 - X2: 1}).bag
 
 
+def assert_same_frac(got, want):
+    # field for field: the numerator's terms, then the bag's factors and
+    # multiplicities in stored order
+    assert got.num.terms == want.num.terms
+    assert got.bag == want.bag
+
+
+@pytest.mark.parametrize("m, n", [(m, n) for n in range(1, 7) for m in range(7) if m * n <= 6])
+def test_shrunk_sum_is_the_plain_sum_shrunk_on_every_b_m_sum(monkeypatch, m, n):
+    from macdo import raising
+    seen = []
+
+    def compared(u, parts):
+        got = shrunk_sum(u, parts)
+        assert_same_frac(got, frac_sum(u, parts).shrink())
+        seen.append(len(parts))
+        return got
+
+    monkeypatch.setattr(raising, "shrunk_sum", compared)
+    raising.row_raising_op.__wrapped__(m, n)
+    assert seen
+
+
+UP = ONE - U.mono(1, {"x1": 1, "x2": -1})    # 1 - x1/x2, the oriented form
+DOWN = ONE - U.mono(1, {"x1": -1, "x2": 1})  # 1 - x2/x1 = -(x2/x1) UP
+P1, P2 = ONE - Q, ONE - Q * Q
+NON_UNIT = U.const(2) - U.const(3) * Q
+THREE = ONE + X1 + X2
+
+
+@pytest.mark.parametrize("terms, want", [
+    # a partial sum that vanishes resets the union bag: 1/(1 - q) is all that is left
+    pytest.param([Frac(ONE, {P2: 1}), Frac(-ONE, {P2: 1}), Frac(ONE, {P1: 1})],
+                 Frac(ONE, {P1: 1}), id="vanishing-partial-sum"),
+    # the plain pairing adds 1/UP - 1/UP first and resets; a pairing by
+    # oriented bags would add 1/DOWN + 1/UP first and keep both factors
+    pytest.param([Frac(ONE, {DOWN: 1}), Frac(ONE, {UP: 1}), Frac(-ONE, {UP: 1})],
+                 Frac(ONE, {DOWN: 1}), id="plain-pairing"),
+    # both orientations of one pole: 1/UP + 1/DOWN = 1, each leaves in turn
+    pytest.param([Frac(ONE, {UP: 1}), Frac(ONE, {DOWN: 1})], Frac(ONE), id="both-orientations"),
+    pytest.param([Frac(X1, {UP: 2}), Frac(Q, {DOWN: 1, UP: 1}), Frac(T, {DOWN: 2})], None,
+                 id="both-orientations-squared"),
+    # 1 - q divides the plain numerator only through 1 - q^2, which stays in R
+    pytest.param([Frac(ONE, {P2: 1}), Frac(-Q * Q, {P2: 1}), Frac(X1, {P1: 1})],
+                 Frac((ONE - Q + X1) * (ONE + Q), {P2: 1}), id="1-q-through-1-q^2"),
+    # 2 - 3q leaves structurally after the cancelling merge took it out of
+    # D; 1 - x1 is tried against it and the three-term factor against all of R
+    pytest.param([Frac(U.const(2), {NON_UNIT: 1}), Frac(-3 * Q, {NON_UNIT: 1}),
+                  Frac(X1, {ONE - X1: 1, THREE: 1})],
+                 Frac(X1 + (ONE - X1) * THREE, {ONE - X1: 1, THREE: 1}), id="2-3q-in-R"),
+    pytest.param([Frac(X1 * NON_UNIT, {NON_UNIT: 2, THREE: 1}),
+                  Frac(THREE, {NON_UNIT: 1, THREE: 1, P1: 1})], None, id="2-3q-twice"),
+    # sums that are zero
+    pytest.param([], Frac(U.zero()), id="no-terms"),
+    pytest.param([Frac(U.zero(), {P1: 1})], Frac(U.zero()), id="zero-term"),
+    pytest.param([Frac(X1, {P1: 1}), Frac(-X1, {P1: 1})], Frac(U.zero()), id="zero-sum"),
+])
+def test_shrunk_sum_is_the_plain_sum_shrunk_by_hand(terms, want):
+    got = shrunk_sum(U, terms)
+    assert_same_frac(got, frac_sum(U, terms).shrink())
+    if want is not None:
+        assert_same_frac(got, want)
+
+
+def test_shrunk_sum_is_the_plain_sum_shrunk_on_random_sums():
+    rng = random.Random(14)
+    pool = [P1, P2, ONE + Q, UP, DOWN, ONE - U.mono(1, {"q": 1, "x1": 1, "x2": -1}),
+            ONE - U.mono(1, {"q": -1, "x1": -1, "x2": 1}), X1 - X2, NON_UNIT, THREE,
+            ONE - T * Q]
+    for _ in range(60):
+        terms = []
+        for _ in range(rng.randint(1, 5)):
+            if terms and rng.random() < 0.2:
+                terms.append(-rng.choice(terms))
+                continue
+            num = mp_prod(U, rng.sample(pool, rng.randint(0, 2))) * rnd_poly(rng, 2, 2)
+            bag = {}
+            for f in rng.sample(pool, rng.randint(1, 3)):
+                bag[f] = rng.randint(1, 2)
+            terms.append(Frac(num, bag))
+        rng.shuffle(terms)
+        assert_same_frac(shrunk_sum(U, terms), frac_sum(U, terms).shrink())
+
+
 def test_from_factors_cancels_only_shared_x_factors():
     qx = ONE - U.mono(1, {"q": 1, "x1": 1, "x2": -1})
     f = Frac.from_factors(U, [X1 - X2, qx, ONE + X1], [X1 - X2, qx, qx])
@@ -653,6 +737,34 @@ def test_json_reader_refuses_values_the_writer_never_makes():
         o["terms"][0]["e"] = bad
         with pytest.raises(ValueError):
             poly_from_obj(o)
+
+
+@pytest.mark.parametrize("shape", ["no vars", "no terms", "no c", "no e",
+                                   "term is a string", "term is a list",
+                                   "terms is a string", "vars holds a number",
+                                   "not an object"])
+def test_json_reader_refuses_a_malformed_structure(shape):
+    o = json.loads(json.dumps(poly_to_obj(U.mono(3, {"q": -1, "x1": 2}) + ONE)))
+    if shape == "no vars":
+        del o["vars"]
+    elif shape == "no terms":
+        del o["terms"]
+    elif shape == "no c":
+        del o["terms"][0]["c"]
+    elif shape == "no e":
+        del o["terms"][1]["e"]
+    elif shape == "term is a string":
+        o["terms"][0] = "3"
+    elif shape == "term is a list":
+        o["terms"][0] = ["3", [0] * U.nvars]
+    elif shape == "terms is a string":
+        o["terms"] = "[]"
+    elif shape == "vars holds a number":
+        o["vars"][0] = 7
+    else:
+        o = [o]
+    with pytest.raises(ValueError):
+        poly_from_obj(o)
 
 
 def test_mp_sum_prod_helpers():

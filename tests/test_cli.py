@@ -269,9 +269,14 @@ def test_checked_in_golden_corpus_matches(capsys):
      "2fae7c1cc4c3885e0fa65036b83f6a1dc6c7acecb74759e672d6cfc545646fcd"),
     (("operator", "--m", "4", "--n", "2", "--format", "json"),
      "9593b38de7b9bf51d792bfc4650461ff698a814daedf79f742c1ed16ef2d68a4"),
+    (("operator", "--m", "3", "--n", "3", "--format", "json"),
+     "3abdba916ef966454d0cd5ee27f542621949f063b743780f1326e7510b156a5f"),
+    (("operator", "--m", "2", "--n", "4", "--format", "json"),
+     "2c3c259454bd90ee8aba639602f0a7c11fb0ff6bb20163d6179d8b72581e1106"),
 ])
 def test_uncancelled_outputs_keep_their_bytes(capsys, argv, digest):
-    # the B_m build and the P solve sum without cancelling, so their stored
+    # the B_m build stores the plain sum's shrunk coefficients (through
+    # shrunk_sum) and the P solve sums without cancelling, so their stored
     # fractions, and these bytes, change only with a canonical form
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0

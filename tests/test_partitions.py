@@ -108,6 +108,12 @@ def test_weak_compositions_of_a_negative_weight_are_empty():
         assert weak_compositions(-3, n) == []
 
 
+def test_weak_compositions_into_a_negative_number_of_parts_are_empty():
+    for m in (-1, 0, 2):
+        for n in (-1, -3):
+            assert weak_compositions(m, n) == []
+
+
 def test_weak_compositions_count():
     for m in range(7):
         for n in range(1, 7):
