@@ -181,8 +181,9 @@ def monomial_symmetric(u: VarUniverse, mu: Partition) -> MPoly:
 def expand_in_monomial_basis(p: MPoly) -> dict:
     """Write a symmetric x-polynomial as {partition: coefficient in q,t}.
 
-    Reads off the coefficient of each dominant monomial x^mu; the caller
-    guarantees symmetry (the solver certifies it upstream).
+    Reads off the coefficient of each dominant monomial x^mu, then certifies
+    symmetry: it rebuilds sum_mu c_mu m_mu and raises ValueError unless that
+    equals p, so a returned expansion is always exact.
     """
     u = p.u
     out = {}
@@ -246,6 +247,23 @@ def eigenvalue_u(u: VarUniverse, lam: Partition) -> MPoly:
                        for i, m in enumerate(lam.padded(n), start=1)))
 
 
+def _triangular_column(op: QDiffOp, name: str, mu: Partition, diagonal: MPoly) -> dict:
+    """The m-basis column op(m_mu) as {nu: coefficient}, certified triangular.
+
+    The image must be a polynomial (``as_poly``) and symmetric
+    (:func:`expand_in_monomial_basis`), every nu in it must be dominated by
+    mu, and its entry at mu must equal ``diagonal``; AssertionError otherwise.
+    """
+    img = op.apply(monomial_symmetric(op.u, mu)).as_poly()
+    col = expand_in_monomial_basis(img)
+    for nu in col:
+        if not mu.dominates(nu):
+            raise AssertionError("%s broke dominance triangularity" % name)
+    if col.get(mu) != diagonal:
+        raise AssertionError("%s diagonal entry is not the eigenvalue" % name)
+    return col
+
+
 @memo_per_partition
 def macdonald_p(lam: Partition, n: int) -> SymPoly:
     """Monic Macdonald polynomial P_lam in n variables.
@@ -259,16 +277,8 @@ def macdonald_p(lam: Partition, n: int) -> SymPoly:
     u = universe(n)
     d1 = macdonald_d1(u)
     down = dominance_downset(lam, n)
-    columns = {}
-    for mu in down:
-        img = d1.apply(monomial_symmetric(u, mu)).as_poly()
-        col = expand_in_monomial_basis(img)
-        for nu in col:
-            if not mu.dominates(nu):
-                raise AssertionError("D_1 broke dominance triangularity")
-        if col.get(mu) != d1_eigenvalue(u, mu):
-            raise AssertionError("D_1 diagonal entry is not the eigenvalue")
-        columns[mu] = col
+    columns = {mu: _triangular_column(d1, "D_1", mu, d1_eigenvalue(u, mu))
+               for mu in down}
     e_lam = d1_eigenvalue(u, lam)
     coeffs = {lam: Frac(u.one())}
     for pos in range(len(down) - 2, -1, -1):
@@ -316,13 +326,47 @@ def macdonald_j(lam: Partition, n: int) -> SymPoly:
 # -- identity checks -----------------------------------------------------------
 
 
+@memo_per_partition
+def d_u_column(mu: Partition, n: int) -> dict:
+    """D(u) m_mu in the m basis of n variables: {nu: coefficient in q, t, u}.
+
+    D(u) is triangular on the monomial basis with diagonal entry
+    prod_i (1 - u q^{mu_i} t^{n-i}) (Macdonald, ch. VI); both are certified
+    as :func:`macdonald_p` certifies them for D_1.  Memoized per (mu, n); the
+    cached dict is never mutated.
+    """
+    uu = universe(n, u=True)
+    return _triangular_column(macdonald_d(uu), "D(u)", mu, eigenvalue_u(uu, mu))
+
+
 def eigen_diff(lam: Partition, n: int) -> Frac:
-    """Difference D(u) P_lam - e_lam(u) P_lam; zero iff the eigen equation holds."""
+    """Difference D(u) P_lam - e_lam(u) P_lam; zero iff the eigen equation holds.
+
+    Computed by linearity on the stored value P_lam = N / prod(bag), whose
+    bag is free of x: N = sum_mu c_mu m_mu is read off the numerator, and
+    the difference is sum_nu r_nu m_nu / prod(bag) with
+    r_nu = sum_mu c_mu D_{nu,mu} - e_lam(u) c_nu, the D_{nu,mu} from the
+    memoized columns :func:`d_u_column`.  Each r_nu is a polynomial in q, t
+    and u; only the rows that do not vanish are multiplied out in x.
+    """
     lam = Partition(lam)
     uu = universe(n, u=True)
     p = macdonald_p(lam, n).value.convert(uu)
-    d = macdonald_d(uu)
-    return d.apply(p) - p * eigenvalue_u(uu, lam)
+    xs = ["x%d" % i for i in range(1, n + 1)]
+    if any(f.max_exp(x) or f.min_exp(x) for f, _ in p.bag for x in xs):
+        raise AssertionError("P_(%s) has an x-dependent denominator" % lam.to_string())
+    coords = expand_in_monomial_basis(p.num)
+    e_lam = eigenvalue_u(uu, lam)
+    rows = {nu: [-(e_lam * c)] for nu, c in coords.items()}
+    for mu, c in coords.items():
+        for nu, d in d_u_column(mu, n).items():
+            rows.setdefault(nu, []).append(c * d)
+    parts = []
+    for nu, row in rows.items():
+        r = mp_sum(uu, row)
+        if not r.is_zero():
+            parts.append(r * monomial_symmetric(uu, nu))
+    return Frac(mp_sum(uu, parts), p.bag)
 
 
 def determinantal_agreement_check(n: int) -> bool:

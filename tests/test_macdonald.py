@@ -4,8 +4,9 @@ import itertools
 
 import pytest
 
+from macdo import macdonald as mac
 from macdo.algebra import Frac, NotDivisible, cauchy_kernel, frac_sum, universe
-from macdo.macdonald import (QDiffOp, cauchy_diff, d1_eigenvalue,
+from macdo.macdonald import (QDiffOp, SymPoly, cauchy_diff, d1_eigenvalue,
                              determinantal_agreement_check, dual_lowering,
                              eigen_diff, eigenvalue_u, expand_in_monomial_basis,
                              integral_form_scalar, is_symmetric_frac,
@@ -143,6 +144,66 @@ def test_eigen_equation_examples():
     assert eigen_diff(Partition(()), 2).is_zero()
     assert eigen_diff(Partition((1,)), 2).is_zero()
     assert eigen_diff(Partition((2, 1)), 2).is_zero()
+
+
+def test_eigen_equation_holds_in_four_variables():
+    cases = [lam for d in range(6) for lam in partitions_of(d, max_len=4)]
+    assert len(cases) == 18
+    for lam in cases:
+        assert eigen_diff(lam, 4).is_zero(), lam
+
+
+def test_coordinates_read_from_the_stored_value_match_the_expansion():
+    # eigen_diff reads P's m-basis coordinates off its value, not .expansion
+    for n in (1, 2, 3):
+        for d in range(5):
+            for lam in partitions_of(d, max_len=n):
+                p = macdonald_p(lam, n)
+                coords = expand_in_monomial_basis(p.value.num)
+                assert set(coords) == set(p.expansion), (lam, n)
+                for mu, c in coords.items():
+                    assert Frac(c, p.value.bag).eq(p.expansion[mu]), (lam, n, mu)
+
+
+def _lifted_p(lam, n):
+    """P_lam with its first non-leading m-coefficient multiplied by q and the
+    value rebuilt as macdonald_p builds it."""
+    u = universe(n)
+    p = macdonald_p(lam, n)
+    lift = sorted(mu for mu in p.expansion if mu != lam)[0]
+    coeffs = {mu: c * u.gen("q") if mu == lift else c for mu, c in p.expansion.items()}
+    value = frac_sum(u, [c * monomial_symmetric(u, mu) for mu, c in coeffs.items()])
+    return SymPoly(n, coeffs, value)
+
+
+@pytest.mark.parametrize("lam,n", [((2, 1), 3), ((3, 1), 4), ((2, 2), 4)],
+                         ids=["21-n3", "31-n4", "22-n4"])
+def test_eigen_diff_of_a_lifted_p_is_the_direct_difference(monkeypatch, lam, n):
+    # negative control: the column-wise residual of a P that is not an
+    # eigenfunction is nonzero and equals D(u) P - e(u) P applied whole
+    lam = Partition(lam)
+    lifted = _lifted_p(lam, n)
+    monkeypatch.setattr(mac, "macdonald_p", lambda lam_, n_: lifted)
+    got = eigen_diff(lam, n)
+    uu = universe(n, u=True)
+    p = lifted.value.convert(uu)
+    direct = macdonald_d(uu).apply(p) - p * eigenvalue_u(uu, lam)
+    assert not got.is_zero()
+    assert got.eq(direct)
+
+
+def test_eigen_diff_refuses_a_p_whose_denominator_depends_on_x(monkeypatch):
+    # the same value P_(1) = (x1 + x2)(x1 - x2) / (x1 - x2) has no m-basis
+    # coordinates over its bag; without the check the coordinate read fails
+    # with a ValueError instead
+    u = universe(2)
+    p = macdonald_p(Partition((1,)), 2)
+    f = u.x(1) - u.x(2)
+    carried = SymPoly(2, p.expansion, Frac(p.value.num * f, {f: 1}))
+    assert carried.value.eq(p.value)
+    monkeypatch.setattr(mac, "macdonald_p", lambda lam_, n_: carried)
+    with pytest.raises(AssertionError, match="x-dependent denominator"):
+        eigen_diff(Partition((1,)), 2)
 
 
 def test_eigenvalue_structure():
