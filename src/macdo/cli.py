@@ -23,6 +23,9 @@ DESK_N, DESK_M, DESK_WEIGHT = 4, 4, 5
 # largest pair of the keyid suite) takes seconds, while (3, 3) takes minutes
 # and gigabytes
 DESK_KEYID_MN = 6
+# building B_m on n variables: m*n = 12 takes 11 s for (4, 3) and 28 s for
+# (3, 4), while (4, 4) did not finish in 15 minutes at 1.0-1.6 GB
+DESK_BUILD_MN = 12
 
 
 def check_limits(*, n=None, m=None, max_weight=None, unsafe=False):
@@ -40,6 +43,16 @@ def check_limits(*, n=None, m=None, max_weight=None, unsafe=False):
                               (max_weight, DESK_WEIGHT, "max weight")):
         if value is not None and value > cap:
             raise ValueError("%s > %d needs --unsafe-limits" % (label, cap))
+
+
+def check_build(m: int, n: int, unsafe=False) -> None:
+    """Refuse building B_m on n variables with m*n beyond DESK_BUILD_MN.
+
+    Yields to --unsafe-limits; raises ValueError, which main turns into
+    exit code 2.
+    """
+    if m * n > DESK_BUILD_MN and not unsafe:
+        raise ValueError("B_m with m*n > %d needs --unsafe-limits" % DESK_BUILD_MN)
 
 
 def _parse_mi(s: str) -> tuple:
@@ -71,6 +84,7 @@ def cmd_poly(args) -> int:
 
 def cmd_operator(args) -> int:
     check_limits(n=args.n, m=args.m, unsafe=args.unsafe_limits)
+    check_build(args.m, args.n, unsafe=args.unsafe_limits)
     op = rs.row_raising_op(args.m, args.n)
     if args.format == "json":
         sys.stdout.write(ser.dumps(ser.op_to_obj(op, args.m)))
@@ -145,6 +159,18 @@ def _operator_weight(case) -> int:
     return case.params.get("m", 0)
 
 
+# the case names whose check builds B_m on the case's n variables, with the
+# case's m; an iterated build's largest is B_{lambda_1}
+_BUILDS_B_M = ("raise", "equivariance", "order_bound", "key_identity", "degree_bound")
+
+
+def _built_operator(case) -> tuple:
+    """(m, n) of the largest B_m a case builds, (0, 0) if it builds none."""
+    if case.name == "iterated_build" or case.name in _BUILDS_B_M:
+        return _operator_weight(case), case.params["n"]
+    return 0, 0
+
+
 def cmd_verify(args) -> int:
     check_limits(n=args.n, m=args.m, max_weight=args.max_weight,
                  unsafe=args.unsafe_limits)
@@ -158,6 +184,8 @@ def cmd_verify(args) -> int:
         print("error: no %s cases within these limits" % args.suite, file=sys.stderr)
         return 2
     check_limits(m=max(_operator_weight(c) for c in cases), unsafe=args.unsafe_limits)
+    m, n = max((_built_operator(c) for c in cases), key=lambda mn: mn[0] * mn[1])
+    check_build(m, n, unsafe=args.unsafe_limits)
     try:
         stream = _out_stream(args.out)
     except OSError as exc:
@@ -226,8 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     limits = argparse.ArgumentParser(add_help=False)
     limits.add_argument("--unsafe-limits", action="store_true",
-                        help="allow n > %d, m > %d, weight > %d or keyid m*n > %d"
-                             % (DESK_N, DESK_M, DESK_WEIGHT, DESK_KEYID_MN))
+                        help="allow n > %d, m > %d, weight > %d, B_m with m*n > %d "
+                             "or keyid m*n > %d"
+                             % (DESK_N, DESK_M, DESK_WEIGHT, DESK_BUILD_MN,
+                                DESK_KEYID_MN))
 
     p = sub.add_parser("poly", parents=[limits],
                        help="print P or J in the monomial basis")

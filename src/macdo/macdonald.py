@@ -178,6 +178,11 @@ def monomial_symmetric(u: VarUniverse, mu: Partition) -> MPoly:
     return mp_sum(u, monos)
 
 
+def from_monomial_basis(u: VarUniverse, coords: dict) -> MPoly:
+    """sum_mu coords[mu] m_mu, multiplied out in the x variables of u."""
+    return mp_sum(u, (c * monomial_symmetric(u, mu) for mu, c in coords.items()))
+
+
 def expand_in_monomial_basis(p: MPoly) -> dict:
     """Write a symmetric x-polynomial as {partition: coefficient in q,t}.
 
@@ -199,8 +204,7 @@ def expand_in_monomial_basis(p: MPoly) -> dict:
             mono = MPoly(u, {u.pack(rest): c})
             out[mu] = out.get(mu, u.zero()) + mono
     out = {mu: c for mu, c in out.items() if not c.is_zero()}
-    rebuilt = mp_sum(u, (c * monomial_symmetric(u, mu) for mu, c in out.items()))
-    if rebuilt != p:
+    if from_monomial_basis(u, out) != p:
         raise ValueError("polynomial is not symmetric in x")
     return out
 
@@ -313,14 +317,9 @@ def macdonald_j(lam: Partition, n: int) -> SymPoly:
     u = universe(n)
     p = macdonald_p(lam, n)
     c_lam = integral_form_scalar(u, lam)
-    expansion = {}
-    parts = []
-    for mu, c in p.expansion.items():
-        cj = (c * c_lam).as_poly()
-        expansion[mu] = Frac(cj)
-        parts.append(cj * monomial_symmetric(u, mu))
-    value = Frac(mp_sum(u, parts))
-    return SymPoly(n, expansion, value)
+    coords = {mu: (c * c_lam).as_poly() for mu, c in p.expansion.items()}
+    expansion = {mu: Frac(c) for mu, c in coords.items()}
+    return SymPoly(n, expansion, Frac(from_monomial_basis(u, coords)))
 
 
 # -- identity checks -----------------------------------------------------------
@@ -337,6 +336,12 @@ def d_u_column(mu: Partition, n: int) -> dict:
     """
     uu = universe(n, u=True)
     return _triangular_column(macdonald_d(uu), "D(u)", mu, eigenvalue_u(uu, mu))
+
+
+def sum_rows(u: VarUniverse, rows: dict) -> dict:
+    """{nu: sum of the polynomials rows[nu]} over the rows that do not vanish."""
+    sums = ((nu, mp_sum(u, row)) for nu, row in rows.items())
+    return {nu: r for nu, r in sums if not r.is_zero()}
 
 
 def eigen_diff(lam: Partition, n: int) -> Frac:
@@ -361,12 +366,7 @@ def eigen_diff(lam: Partition, n: int) -> Frac:
     for mu, c in coords.items():
         for nu, d in d_u_column(mu, n).items():
             rows.setdefault(nu, []).append(c * d)
-    parts = []
-    for nu, row in rows.items():
-        r = mp_sum(uu, row)
-        if not r.is_zero():
-            parts.append(r * monomial_symmetric(uu, nu))
-    return Frac(mp_sum(uu, parts), p.bag)
+    return Frac(from_monomial_basis(uu, sum_rows(uu, rows)), p.bag)
 
 
 def determinantal_agreement_check(n: int) -> bool:

@@ -6,9 +6,10 @@ times the generalized q-binomial coefficient) and the block coefficients
 b_alpha (a beta-sum of Pochhammer ratios).  Two independent oracles shadow
 these closed forms: the elimination recurrence rebuilds phi level by level,
 and an interpolation evaluation of the dual-lowered Cauchy kernel
-(1/(y1..ym)) D_y(1;t,q) prod (1+x_i y_j) rebuilds b.  Verification applies
-B_m to integral forms and certifies the image polynomial by exact division
-before comparing.
+(1/(y1..ym)) D_y(1;t,q) prod (1+x_i y_j) rebuilds b.  Verification works
+on the monomial basis: B_m m_mu is applied once per (m, mu, n) and certified
+as a polynomial column in Z[q,t], and the raising property and the iterated
+build combine those columns with the integral forms' coordinates.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .algebra import (Frac, MPoly, NotDivisible, VarUniverse, cauchy_kernel,
-                      frac_sum, shrunk_sum, universe)
-from .macdonald import (QDiffOp, cross_term, dual_lowering, macdonald_j,
-                        macdonald_p, x_transposition_rename)
+from .algebra import (Frac, MPoly, VarUniverse, cauchy_kernel, frac_sum, shrunk_sum,
+                      universe)
+from .macdonald import (QDiffOp, cross_term, dual_lowering, expand_in_monomial_basis,
+                        from_monomial_basis, macdonald_j, macdonald_p,
+                        monomial_symmetric, sum_rows, x_transposition_rename)
 from .partitions import (Partition, box_below, memo_per_partition, mi_leq,
                          mi_sub, mi_weight, multi_indices_upto, weak_compositions)
 from .qbinomial import double_poch_factors, interp_assignment, qbinom_x
@@ -216,40 +218,95 @@ def row_raising_op(m: int, n: int) -> QDiffOp:
     return QDiffOp(u, coeffs)
 
 
+@lru_cache(maxsize=None)
+def raising_column(m: int, mu, n: int) -> dict:
+    """B_m m_mu in the m basis of n variables: {nu: coefficient in Z[q, t]}.
+
+    For mu_1 <= m the kernel identity makes B_m m_mu a polynomial: the
+    kernel prod (1 + x_i y_j) over m y variables spans the s_lam(x) with
+    lam_1 <= m, which is the span of the m_mu with mu_1 <= m (Macdonald,
+    ch. I).  The image of :meth:`QDiffOp.apply` is certified polynomial
+    (``as_poly``) and symmetric (:func:`expand_in_monomial_basis`); every nu
+    must have weight |mu| + m and be dominated by (m) u mu sorted, and every
+    coefficient must be free of negative q and t exponents, AssertionError
+    otherwise.  Memoized per (m, mu, n); the cached dict is never mutated.
+    """
+    mu = Partition(mu)
+    top = Partition(sorted(mu + (m,), reverse=True))
+    img = row_raising_op(m, n).apply(monomial_symmetric(universe(n), mu)).as_poly()
+    col = expand_in_monomial_basis(img)
+    for nu, c in col.items():
+        if nu.weight() != top.weight() or not top.dominates(nu):
+            raise AssertionError("B_%d m_(%s) has m_(%s) outside the dominance "
+                                 "order below (%s)" % (m, mu.to_string(), nu.to_string(),
+                                                       top.to_string()))
+        if c.min_exp("q") < 0 or c.min_exp("t") < 0:
+            raise AssertionError("B_%d m_(%s) has a negative q or t exponent"
+                                 % (m, mu.to_string()))
+    return col
+
+
+def _raise_coords(m: int, coords: dict, n: int) -> dict:
+    """The m-basis coordinates of B_m sum_mu c_mu m_mu, as {nu: [terms]}.
+
+    Each c_mu is a polynomial in q and t; the columns come from
+    :func:`raising_column`.  The rows are left as lists so a caller can
+    append its own terms before summing.
+    """
+    rows: dict = {}
+    for mu, c in coords.items():
+        for nu, d in raising_column(m, mu, n).items():
+            rows.setdefault(nu, []).append(c * d)
+    return rows
+
+
+def _j_coords(lam: Partition, n: int) -> dict:
+    """The stored m-basis coordinates of J_lam, each certified in Z[q, t]."""
+    return {mu: c.as_poly() for mu, c in macdonald_j(lam, n).expansion.items()}
+
+
+def _difference(n: int, rows: dict, target: dict) -> Frac:
+    """sum_nu (sum of rows[nu] - target[nu]) m_nu over the rows that do not vanish."""
+    for nu, c in target.items():
+        rows.setdefault(nu, []).append(-c)
+    u = universe(n)
+    return Frac(from_monomial_basis(u, sum_rows(u, rows)))
+
+
 def raising_diff(m: int, lam, n: int) -> Frac:
     """B_m J_lam minus its contract: J_{(m,lam)} below full length, 0 at it.
 
-    The image is certified polynomial by exact division before the
-    comparison; if certification fails the raw fraction difference is
-    returned (necessarily nonzero).
+    Computed by linearity on the m-basis coordinates c_mu of J_lam: row nu
+    of the difference is r_nu = sum_mu c_mu (B_m m_mu)_nu - J_{(m,lam)}[nu],
+    without the J term at full length, with the columns from
+    :func:`raising_column`.  The result is sum_nu r_nu m_nu over the rows
+    that do not vanish, a polynomial, and exactly B_m J_lam minus the
+    contract.
     """
     lam = Partition(lam)
     if lam and lam[0] > m:
         raise ValueError("the first row of lam may not exceed m")
     if lam.length() > n:
         raise ValueError("lam has more than n rows")
-    b = row_raising_op(m, n)
-    img = b.apply(macdonald_j(lam, n).as_mpoly())
-    if lam.length() == n:
-        return img
-    target = macdonald_j(lam.prepend(m), n).as_mpoly()
-    try:
-        return Frac(img.as_poly() - target)
-    except NotDivisible:
-        return img - Frac(target)
+    target = _j_coords(lam.prepend(m), n) if lam.length() < n else {}
+    return _difference(n, _raise_coords(m, _j_coords(lam, n), n), target)
 
 
 def iterated_build_diff(lam, n: int) -> Frac:
     """B_{lam_1} ... B_{lam_n}.1 - J_lam, applying right to left.
 
-    Every intermediate image is certified polynomial by exact division.
+    The partial product is carried as m-basis coordinates, starting from
+    {(): 1}, and raised through the certified columns of
+    :func:`raising_column`: each partial product is a J whose first row is
+    at most the next part, so every column it meets is a polynomial.  The
+    result is compared row by row with the coordinates of J_lam.
     """
     lam = Partition(lam)
     u = universe(n)
-    v = u.one()
+    coords = {Partition(): u.one()}
     for part in reversed(lam.padded(n)):
-        v = row_raising_op(part, n).apply(v).as_poly()
-    return Frac(v - macdonald_j(lam, n).as_mpoly())
+        coords = sum_rows(u, _raise_coords(part, coords, n))
+    return _difference(n, {nu: [c] for nu, c in coords.items()}, _j_coords(lam, n))
 
 
 @lru_cache(maxsize=None)

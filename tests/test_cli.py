@@ -70,6 +70,52 @@ def test_desk_scale_limits(capsys):
     assert code == 2 and "unsafe-limits" in err
 
 
+def test_operator_caps_m_times_n(capsys, monkeypatch):
+    # B_4 on n = 4 did not finish in 15 minutes; (4, 3) and (3, 4) take seconds
+    from macdo.algebra import universe
+    from macdo.macdonald import QDiffOp
+    built = []
+
+    def stub(m, n):
+        built.append((m, n))
+        return QDiffOp(universe(1), {})
+
+    monkeypatch.setattr(rs, "row_raising_op", stub)
+    code, out, err = run_cli(capsys, "operator", "--m", "4", "--n", "4")
+    assert code == 2 and out == "" and "--unsafe-limits" in err and built == []
+    for m, n in ((4, 3), (3, 4)):
+        code, _, _ = run_cli(capsys, "operator", "--m", str(m), "--n", str(n))
+        assert code == 0, (m, n)
+    code, _, _ = run_cli(capsys, "operator", "--m", "4", "--n", "4", "--unsafe-limits")
+    assert code == 0 and built == [(4, 3), (3, 4), (4, 4)]
+
+
+def test_verify_caps_m_times_n_of_the_operators_it_builds(capsys, monkeypatch):
+    # the raising suite at n = 4 would build B_4 on n = 4 for the iterated
+    # build of lambda = (4); the hl, oracles and cauchy cases build no B_m
+    from macdo import cli as cli_mod
+
+    def no_build(m, n):
+        raise AssertionError("built B_%d on n = %d" % (m, n))
+
+    ran = []
+
+    def no_run(cases, shuffle_seed=None):
+        ran.append(len(cases))
+        return [], True
+
+    monkeypatch.setattr(rs, "row_raising_op", no_build)
+    monkeypatch.setattr(cli_mod, "run_cases", no_run)
+    code, out, err = run_cli(capsys, "verify", "--suite", "raising", "--n", "4")
+    assert code == 2 and out == "" and "--unsafe-limits" in err and ran == []
+    for argv in (("raising", "--n", "4", "--m", "3"), ("hl", "--n", "4", "--m", "4"),
+                 ("oracles", "--n", "4", "--m", "4"), ("cauchy", "--n", "4"),
+                 ("raising", "--n", "4", "--unsafe-limits")):
+        code, _, err = run_cli(capsys, "verify", "--suite", *argv)
+        assert code == 0 and "unsafe" not in err, argv
+    assert len(ran) == 5 and all(ran)
+
+
 def test_sizes_below_the_lower_bounds_are_refused(capsys):
     for argv in (("operator", "--m", "-1", "--n", "2"),
                  ("verify", "--suite", "keyid", "--m", "-1"),

@@ -5,8 +5,8 @@ from math import comb
 
 import pytest
 
-from macdo.algebra import Frac, universe
-from macdo.macdonald import macdonald_j, macdonald_p
+from macdo.algebra import Frac, mp_sum, universe
+from macdo.macdonald import QDiffOp, SymPoly, macdonald_j, monomial_symmetric
 from macdo.partitions import Partition, box_below, weak_compositions
 from macdo.qbinomial import qbinom_x
 from macdo.raising import (block_coeff, block_coeff_interp, degree_bound_check,
@@ -16,8 +16,8 @@ from macdo.raising import (block_coeff, block_coeff_interp, degree_bound_check,
                            key_identity_diff, ladder_f_closed, ladder_f_paths,
                            ladder_g, ladder_inverse_check, limit_q0, lowered_kernel,
                            order_bound_check, raising_block, raising_block_entry,
-                           raising_block_recurrence, raising_diff, raising_on_kernel,
-                           recurrence_weight, row_raising_op)
+                           raising_block_recurrence, raising_column, raising_diff,
+                           raising_on_kernel, recurrence_weight, row_raising_op)
 from macdo.serialize import op_to_obj, poly_to_obj
 from sympy_util import sympy_poly
 
@@ -130,6 +130,84 @@ def test_iterated_build_examples():
     assert iterated_build_diff(Partition(()), 2).is_zero()
     assert iterated_build_diff(Partition((2, 1)), 2).is_zero()
     assert iterated_build_diff(Partition((1, 1)), 3).is_zero()
+
+
+def test_raising_column_examples():
+    # B_1 1 = J_(1) = (1 - t) x1
+    one, t = U1.one(), U1.gen("t")
+    assert raising_column(1, Partition(()), 1) == {Partition((1,)): one - t}
+    # m_mu with n rows is a combination of J_nu with n rows, which B_m kills
+    for m, mu, n in ((1, (1,), 1), (4, (2, 1), 2), (3, (1, 1, 1), 3)):
+        assert raising_column(m, Partition(mu), n) == {}, (m, mu, n)
+
+
+def test_raising_columns_are_built_once_per_triple(monkeypatch):
+    # J_(2) and J_(1,1) on n = 2 share the coordinate m_(1,1); B_2 m_(1,1) is
+    # built by the first check only
+    b2 = row_raising_op(2, 2)
+    applied = []
+    real_apply = QDiffOp.apply
+
+    def counting(op, f):
+        if op is b2:
+            applied.append(f)
+        return real_apply(op, f)
+
+    monkeypatch.setattr(QDiffOp, "apply", counting)
+    raising_column.cache_clear()
+    assert raising_diff(2, Partition((2,)), 2).is_zero()
+    assert len(applied) == 2 and raising_column.cache_info().misses == 2
+    assert raising_diff(2, Partition((1, 1)), 2).is_zero()
+    assert len(applied) == 2 and raising_column.cache_info().misses == 2
+
+
+@pytest.mark.parametrize("m, mu, n, mult", [
+    (2, (), 2, "B_1"),            # weight |mu| + 1, not |mu| + 2
+    (1, (1,), 2, "x1 + x2"),      # m_(2) is not dominated by (1, 1)
+    (1, (), 2, "(x1 + x2)/q"),    # q^-1 in a coefficient
+], ids=["weight", "dominance", "negative-q"])
+def test_raising_column_refuses_a_broken_image(monkeypatch, m, mu, n, mult):
+    u = universe(n)
+    p1 = u.x(1) + u.x(2)
+    ops = {"B_1": row_raising_op(1, n),
+           "x1 + x2": QDiffOp(u, {(0, 0): Frac(p1)}),
+           "(x1 + x2)/q": QDiffOp(u, {(0, 0): Frac(p1.mono_mul(1, {"q": -1}))})}
+    monkeypatch.setattr("macdo.raising.row_raising_op", lambda m, n: ops[mult])
+    with pytest.raises(AssertionError):
+        raising_column.__wrapped__(m, Partition(mu), n)
+
+
+def _lifted_j(lam, n):
+    """J_lam with its leading coordinate, at lam, times q; the value rebuilt.
+
+    The non-leading coordinates of the J_lam below sit at mu with n rows,
+    where B_m m_mu = 0, so lifting one of them would change neither side.
+    """
+    j = macdonald_j(lam, n)
+    u = universe(n)
+    expansion = {mu: c * u.gen("q") if mu == lam else c for mu, c in j.expansion.items()}
+    value = mp_sum(u, (c.as_poly() * monomial_symmetric(u, mu)
+                       for mu, c in expansion.items()))
+    return SymPoly(n, expansion, Frac(value))
+
+
+@pytest.mark.parametrize("m, lam, n", [(2, (1,), 2), (3, (2, 1), 3), (4, (3,), 2)],
+                         ids=["2-1-n2", "3-21-n3", "4-3-n2"])
+def test_raising_diff_of_a_lifted_j_is_the_direct_difference(monkeypatch, m, lam, n):
+    # negative control: the column combination must see a changed coordinate
+    # and give exactly B_m J - J', computed by applying B_m to J's value
+    lam = Partition(lam)
+    lifted = _lifted_j(lam, n)
+    assert not lifted.value.eq(macdonald_j(lam, n).value)
+    assert all(mu == lam or mu.length() == n for mu in lifted.expansion)
+    target = macdonald_j(lam.prepend(m), n).as_mpoly()
+    real = macdonald_j
+    monkeypatch.setattr("macdo.raising.macdonald_j",
+                        lambda mu, k: lifted if (Partition(mu), k) == (lam, n) else real(mu, k))
+    diff = raising_diff(m, lam, n)
+    direct = row_raising_op(m, n).apply(lifted.as_mpoly()) - Frac(target)
+    assert not diff.is_zero()
+    assert diff.eq(direct)
 
 
 def test_key_identity_examples():
