@@ -22,14 +22,16 @@ pass is a plain copy when the two-term operand holds the constant 1
 (1 - q^c x_i/x_j, 1 - q^k), and the walk takes its chains from buckets of
 one exponent field, in walk order.
 
-Fractions carry their denominator as a multiset of polynomial factors and
-are never reduced to lowest terms.  Equality is decided by
-cross-multiplication, and "this fraction is actually a polynomial" is
-certified by exact trial division: one loop (``_divide_out``) divides bag
-factors out of a numerator for ``Frac.shrink``, ``Frac.as_poly`` and the
-cancelling merge.  ``shrunk_sum`` returns what ``frac_sum(...).shrink()``
-returns, byte for byte, from that merge, without expanding the plain sum's
-numerator.  No GCD, no factorization, no floating point.
+Fractions carry their denominator as a multiset of polynomial factors.
+Equality is decided by cross-multiplication, and "this fraction is actually
+a polynomial" is certified by exact trial division: one loop
+(``_divide_out``) divides bag factors out of a numerator for
+``Frac.shrink``, ``Frac.as_poly``, ``Frac.lowest`` and the cancelling merge.
+``Frac.lowest`` reduces a fraction whose bag holds only +-1 binomials on q
+and x: each splits into cyclotomic pieces Phi_d(X^w) of one fixed form, which
+are irreducible, so trial division alone reaches lowest terms, and two
+fractions of equal value come out field for field the same.  No GCD, no
+general factorization, no floating point.
 
 Negative exponents are legal for q and the x variables only; building a
 value with a negative exponent on t, u or y through the public constructors
@@ -582,13 +584,6 @@ def mp_prod(u: VarUniverse, polys) -> MPoly:
     return out
 
 
-def _has_x(p: MPoly) -> bool:
-    """True when some term of p carries a nonzero x exponent."""
-    u = p.u
-    shifts = u._shift[u._x0:u._y0]
-    return any(((k >> s) & _MASK) != _B for k in p.terms for s in shifts)
-
-
 def cauchy_kernel(u: VarUniverse) -> MPoly:
     """The dual Cauchy kernel prod_{i,j} (1 + x_i y_j) over every x and y of u."""
     return mp_prod(u, (u.one() + u.x(i) * u.y(j)
@@ -776,11 +771,12 @@ def as_frac(u: VarUniverse, v) -> "Frac":
 
 
 class Frac:
-    """Unreduced fraction num / prod(factor^mult) of Laurent polynomials.
+    """Fraction num / prod(factor^mult) of Laurent polynomials.
 
     The denominator is kept as a multiset of factors so that sums over a
     common structural denominator do not balloon; ``den`` expands it on
     each read.  Semantic equality is cross-multiplication via :meth:`eq`.
+    Nothing is reduced to lowest terms except by :meth:`lowest`.
     """
 
     __slots__ = ("num", "bag")
@@ -810,19 +806,12 @@ class Frac:
 
     @classmethod
     def from_factors(cls, u: VarUniverse, num_factors, den_factors) -> "Frac":
-        """prod(num_factors) / prod(den_factors), shared x-factors cancelled.
+        """prod(num_factors) / prod(den_factors), shared factors cancelled.
 
-        A factor that contains an x variable and appears in both lists is
-        dropped from both, up to the smaller multiplicity, before the
-        numerator is expanded: a multiset difference of identical
-        polynomials, no division.  Such a factor 1 - t^e q^c x_i/x_j has a
-        primitive exponent vector, so it is irreducible and prime to every
-        bag factor that is not a unit multiple of it; ``shrink`` leaves it at
-        its pole order however many copies came in, and cancelling it here
-        changes no fraction that ``shrink`` returns.  Factors without x
-        (1 - q^k, 1 + t, ...) are never cancelled: the 1 - q^k share
-        cyclotomic factors, so which of them ``shrink`` keeps depends on the
-        bag they arrive in.
+        A factor that appears in both lists is dropped from both, up to the
+        smaller multiplicity, before the numerator is expanded: a multiset
+        difference of identical polynomials, no division.  The result is not
+        claimed to be in lowest terms (1 - q^2 over 1 - q stays as it is).
         """
         bag = {}
         for f in den_factors:
@@ -830,7 +819,7 @@ class Frac:
                 bag[f] = bag.get(f, 0) + 1
         num = []
         for f in num_factors:
-            if bag.get(f) and _has_x(f):
+            if bag.get(f):
                 bag[f] -= 1
             else:
                 num.append(f)
@@ -910,6 +899,35 @@ class Frac:
         num, gone = _divide_out(self.num, self.bag)
         return Frac(num, {f: m - gone.get(f, 0) for f, m in self.bag if m > gone.get(f, 0)})
 
+    def lowest(self) -> "Frac":
+        """The value in lowest terms, over a bag of canonical irreducible pieces.
+
+        Every bag factor must be a two-term binomial with coefficients +-1
+        and exponents on q and x only; any other raises ValueError.  Each is
+        a unit times pieces :func:`_cyclotomic` (:func:`_pieces`); the units
+        move into the numerator through ``mono_mul``, and the numerator is
+        divided by each piece until a division fails.  The pieces are
+        irreducible and pairwise non-associate, so what stays in the bag is
+        prime to the numerator, with no GCD: two fractions of equal value
+        come out with the same numerator and the same bag.
+        """
+        if self.num.is_zero():
+            return Frac(self.num)
+        u = self.u
+        pieces, shift, sign = {}, {}, 1
+        for f, m in self.bag:
+            c, b, ps = _pieces(u, f)
+            sign *= c ** m
+            for nm, e in zip(u.names, b):
+                if e:
+                    shift[nm] = shift.get(nm, 0) - e * m
+            for p in ps:
+                pieces[p] = pieces.get(p, 0) + m
+        num = self.num.mono_mul(sign, {nm: e for nm, e in shift.items() if e})
+        num, gone = _divide_out(num, pieces.items())
+        return Frac(num, {p: k - gone.get(p, 0) for p, k in pieces.items()
+                          if k > gone.get(p, 0)})
+
     # -- structural maps ----------------------------------------------------------
 
     def _map(self, fn) -> "Frac":
@@ -929,6 +947,45 @@ class Frac:
         return self._map(lambda p: p.subs_monomials(assign))
 
 
+@lru_cache(maxsize=None)
+def _cyclotomic(u: VarUniverse, w: tuple, d: int) -> MPoly:
+    """The piece of index d in direction w: 1 - X^w for d = 1, else Phi_d(X^w).
+
+    1 - X^{dw} is the product of the pieces of every divisor of d, so each
+    piece is the exact quotient of 1 - X^{dw} by those of the proper
+    divisors; memoized per (universe, w, d).
+    """
+    piece = u.one() - u.mono(1, {nm: d * e for nm, e in zip(u.names, w) if e})
+    for e in range(1, d):
+        if d % e == 0:
+            piece = try_div(piece, _cyclotomic(u, w, e))
+    return piece
+
+
+def _pieces(u: VarUniverse, f: MPoly):
+    """(c, b, pieces) with f = c X^b prod(pieces), for f = c1 X^a + c X^b with
+    c1, c = +-1, exponents on q and x only and X^a above X^b; ValueError for
+    any other f.
+
+    With X^a = X^b Z^g, Z = X^w, w primitive and its first nonzero entry
+    positive: 1 - Z^g is the product of the :func:`_cyclotomic` pieces for
+    d | g, and 1 + Z^g = (1 - Z^2g)/(1 - Z^g) that for d | 2g, d not | g.
+    """
+    tm = f.terms
+    if len(tm) != 2 or any(c not in (1, -1) for c in tm.values()):
+        raise ValueError("lowest terms need +-1 binomial factors, not %s" % f.text())
+    hi, lo = max(tm), min(tm)
+    a, b = u.unpack(hi), u.unpack(lo)
+    if any((ea or eb) and not lau for ea, eb, lau in zip(a, b, u._laurent)):
+        raise ValueError("lowest terms need factors on q and x only, not %s" % f.text())
+    v = [ea - eb for ea, eb in zip(a, b)]
+    g = math.gcd(*v)
+    w = tuple(e // g for e in v)
+    h = g if tm[hi] != tm[lo] else 2 * g
+    return tm[lo], b, [_cyclotomic(u, w, d) for d in range(1, h + 1)
+                       if h % d == 0 and (h == g or g % d)]
+
+
 def _orient(u: VarUniverse, f: MPoly):
     """(g, c, v) with f = c X^v g, when f = 1 + c X^v with c = +-1, X^v below
     1 and v on q and x only, and g = 1 + c X^-v; (f, 1, None) otherwise.
@@ -946,28 +1003,23 @@ def _orient(u: VarUniverse, f: MPoly):
     return f, 1, None
 
 
-def _orient_bag(u: VarUniverse, bag: dict):
-    """(oriented bag, sign, shift) with prod(bag) = sign X^shift prod(oriented bag)."""
+def _oriented(u: VarUniverse, num: MPoly, bag: dict):
+    """num / prod(bag) as (num', oriented bag): each copy of a factor moves
+    its unit c X^v (:func:`_orient`) into the numerator as c X^-v, through
+    the checked ``mono_mul``."""
     out, shift, sign = {}, {}, 1
     for f, m in bag.items():
         g, c, vec = _orient(u, f)
         if vec is not None:
             for nm, e in zip(u.names, vec):
                 if e:
-                    shift[nm] = shift.get(nm, 0) + e * m
+                    shift[nm] = shift.get(nm, 0) - e * m
             if c < 0 and m % 2:
                 sign = -sign
         out[g] = out.get(g, 0) + m
-    return out, sign, {nm: e for nm, e in shift.items() if e}
-
-
-def _oriented(u: VarUniverse, num: MPoly, bag: dict):
-    """num / prod(bag) as (num', oriented bag): each copy of a factor moves
-    its unit c X^v (:func:`_orient`) into the numerator as c X^-v, through
-    the checked ``mono_mul``."""
-    out, sign, shift = _orient_bag(u, bag)
+    shift = {nm: e for nm, e in shift.items() if e}
     if shift or sign < 0:
-        num = num.mono_mul(sign, {nm: -e for nm, e in shift.items()})
+        num = num.mono_mul(sign, shift)
     return num, out
 
 
@@ -986,14 +1038,6 @@ def _best_pair(bags) -> tuple:
     return bi, bj
 
 
-def _union(b1: dict, b2: dict) -> dict:
-    union = dict(b1)
-    for f, m in b2.items():
-        if union.get(f, 0) < m:
-            union[f] = m
-    return union
-
-
 def _merge(n1: MPoly, b1: dict, n2: MPoly, b2: dict, cancel: bool):
     """n1 / prod(b1) + n2 / prod(b2) over the union bag, as (num, bag).
 
@@ -1001,7 +1045,10 @@ def _merge(n1: MPoly, b1: dict, n2: MPoly, b2: dict, cancel: bool):
     trial-divided by every two-term factor of both bags, up to the smaller
     multiplicity, and each factor that divides exactly leaves the bag.
     """
-    union = _union(b1, b2)
+    union = dict(b1)
+    for f, m in b2.items():
+        if union.get(f, 0) < m:
+            union[f] = m
     s = (_times(n1, ((f, m - b1.get(f, 0)) for f, m in union.items())) +
          _times(n2, ((f, m - b2.get(f, 0)) for f, m in union.items())))
     if s.is_zero():
@@ -1039,14 +1086,13 @@ def frac_sum(u: VarUniverse, terms, *, cancel: bool = False) -> Frac:
     (:func:`_div_binomial`), while trial division by multi-term factors (the
     eigenvalue gaps of the P solve) costs far more than it saves.
 
-    Only :meth:`macdonald.QDiffOp.apply` cancels, and the reason is speed.
-    The B_m build stores the plain sum's shrunk form, which
-    :func:`shrunk_sum` computes through the cancelling merge without
-    expanding the plain numerator.  The terms of the q-binomial and b_alpha
-    sums already arrive with their shared x-dependent factors cancelled
-    (:meth:`Frac.from_factors`); cancelling in the P solve and the other
-    sums as well gained nothing measurable on top of that, so they keep the
-    plain merge.
+    :meth:`macdonald.QDiffOp.apply` and the B_m build cancel, and the
+    reason is speed; the B_m build stores the sum in lowest terms
+    (:meth:`Frac.lowest`), which are the same whichever path summed it.
+    The terms of the q-binomial and b_alpha sums already arrive with their
+    shared factors cancelled (:meth:`Frac.from_factors`); cancelling in the
+    P solve and the other sums as well gained nothing measurable on top of
+    that, so they keep the plain merge.
     """
     items = []
     for tm in terms:
@@ -1063,83 +1109,3 @@ def frac_sum(u: VarUniverse, terms, *, cancel: bool = False) -> Frac:
         items.append(_merge(n1, b1, n2, b2, cancel))
     num, bag = items[0]
     return Frac(num, bag)
-
-
-def _binomial_step(u: VarUniverse, f: MPoly):
-    """Primitive exponent step, first nonzero entry positive, of a two-term
-    factor with coefficients +-1; None for any other factor.
-
-    Such a factor is a unit times a product of cyclotomic polynomials in
-    X^step, so two of them with different steps share no factor.
-    """
-    tm = f.terms
-    if len(tm) != 2 or any(c not in (1, -1) for c in tm.values()):
-        return None
-    vec = [a - b for a, b in zip(u.unpack(max(tm)), u.unpack(min(tm)))]
-    g = math.gcd(*vec)
-    return tuple(e // g for e in vec)
-
-
-def shrunk_sum(u: VarUniverse, terms) -> Frac:
-    """``frac_sum(u, terms).shrink()``: the same numerator and the same bag,
-    without expanding the plain sum's numerator.
-
-    The plain sum's pairing is replayed on the raw bags, so its union bag U
-    comes out exactly, reset to {} wherever a partial sum vanishes; each
-    node's value travels in the oriented, cancelled form P / prod(D) of
-    ``frac_sum(cancel=True)``.  At the root the plain numerator is
-    N = w P prod(R), with w the orientation unit of U and R the oriented
-    U less D (D never exceeds it).  ``shrink``'s trial division is then
-    replayed over U's stored order.  A factor f whose oriented form g is
-    still in R leaves structurally; any other is decided by dividing
-    P prod(G) by g, with G the factors of R that :func:`_binomial_step`
-    cannot prove prime to g, since dividing out a factor prime to g changes
-    nothing about g's divisibility.  Raises ValueError where orienting a
-    term moves an exponent past its packed field.
-    """
-    items = []
-    for tm in terms:
-        tm = as_frac(u, tm)
-        if not tm.num.is_zero():
-            raw = tm._bagdict()
-            items.append((raw,) + _oriented(u, tm.num, raw))
-    if not items:
-        return Frac(u.zero())
-    while len(items) > 1:
-        bi, bj = _best_pair([raw for raw, _, _ in items])
-        raw2, p2, d2 = items.pop(bj)
-        raw1, p1, d1 = items.pop(bi)
-        p, d = _merge(p1, d1, p2, d2, True)
-        items.append((_union(raw1, raw2) if p else {}, p, d))
-    bag, p, d = items[0]
-    r = _orient_bag(u, bag)[0]
-    for g, k in d.items():
-        assert r.get(g, 0) >= k, "cancelled bag exceeds the oriented union"
-        r[g] -= k
-    r = {g: k for g, k in r.items() if k}
-    order = Frac(p, bag).bag
-    gone = {}
-    for f, m in order:
-        g = _orient(u, f)[0]
-        for _ in range(m):
-            if r.get(g):
-                r[g] -= 1
-                if not r[g]:
-                    del r[g]
-            else:
-                step = _binomial_step(u, g)
-                shared = [(h, k) for h, k in r.items()
-                          if step is None or _binomial_step(u, h) in (None, step)]
-                qu = try_div(_times(p, shared), g)
-                if qu is None:
-                    break
-                p = qu
-                for h, _ in shared:
-                    del r[h]
-            gone[f] = gone.get(f, 0) + 1
-    rest = {f: m - gone.get(f, 0) for f, m in order if m > gone.get(f, 0)}
-    p = _times(p, r.items())
-    _, sign, shift = _orient_bag(u, rest)
-    if shift or sign < 0:
-        p = p.mono_mul(sign, shift)
-    return Frac(p, rest)

@@ -309,9 +309,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`, say); point the process's
+        # stdout at devnull, so the flush at exit does not fail again
+        if sys.stdout is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout closed before the output was written", file=sys.stderr)
         return 2
 
 

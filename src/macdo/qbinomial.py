@@ -65,8 +65,8 @@ def qbinom_x(u: VarUniverse, alpha: tuple, beta: tuple) -> Frac:
     prod_{i,j} (q^{alpha_i-beta_j+1} x_i/x_j)_{beta_j}
              / (q^{beta_i-beta_j+1} x_i/x_j)_{beta_j}
 
-    with the x-dependent factors both sides share cancelled
-    (:meth:`Frac.from_factors`); the rest stays unreduced.
+    with the factors both sides share cancelled (:meth:`Frac.from_factors`);
+    the rest stays unreduced.
     """
     n = u.n_x
     if len(alpha) != n or len(beta) != n:

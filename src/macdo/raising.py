@@ -17,8 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .algebra import (Frac, MPoly, VarUniverse, cauchy_kernel, frac_sum, shrunk_sum,
-                      universe)
+from .algebra import Frac, MPoly, VarUniverse, cauchy_kernel, frac_sum, universe
 from .macdonald import (QDiffOp, cross_term, dual_lowering, expand_in_monomial_basis,
                         from_monomial_basis, macdonald_j, macdonald_p,
                         monomial_symmetric, sum_rows, x_transposition_rename)
@@ -198,9 +197,10 @@ def block_coeff_interp(u: VarUniverse, m: int, alpha: tuple) -> Frac:
 def row_raising_op(m: int, n: int) -> QDiffOp:
     """The raising operator B_m on n variables, in the shift basis T^gamma.
 
-    Expands sum_alpha b_alpha phi_alpha and combines coefficients; memoized
-    per (m, n).  Raises ValueError for m < 0, before anything is built or
-    cached.
+    Expands sum_alpha b_alpha phi_alpha and combines coefficients with the
+    cancelling sum, each stored in lowest terms (:meth:`Frac.lowest`), so the
+    operator's bytes depend only on its value; memoized per (m, n).  Raises
+    ValueError for m < 0, before anything is built or cached.
     """
     if m < 0:
         raise ValueError("the row length m must be >= 0, not %d" % m)
@@ -212,7 +212,7 @@ def row_raising_op(m: int, n: int) -> QDiffOp:
             acc.setdefault(beta, []).append(b * phi)
     coeffs = {}
     for beta, parts in acc.items():
-        c = shrunk_sum(u, parts)
+        c = frac_sum(u, parts, cancel=True).lowest()
         if not c.is_zero():
             coeffs[beta] = c
     return QDiffOp(u, coeffs)
@@ -229,9 +229,13 @@ def raising_column(m: int, mu, n: int) -> dict:
     (``as_poly``) and symmetric (:func:`expand_in_monomial_basis`); every nu
     must have weight |mu| + m and be dominated by (m) u mu sorted, and every
     coefficient must be free of negative q and t exponents, AssertionError
-    otherwise.  Memoized per (m, mu, n); the cached dict is never mutated.
+    otherwise.  Raises ValueError for m < 0 or mu_1 > m, before anything is
+    built.  Memoized per (m, mu, n); the cached dict is never mutated.
     """
     mu = Partition(mu)
+    if m < 0 or (mu and mu[0] > m):
+        raise ValueError("B_m m_mu needs 0 <= mu_1 <= m, not m = %d, mu = (%s)"
+                         % (m, mu.to_string()))
     top = Partition(sorted(mu + (m,), reverse=True))
     img = row_raising_op(m, n).apply(monomial_symmetric(universe(n), mu)).as_poly()
     col = expand_in_monomial_basis(img)

@@ -7,7 +7,7 @@ import pytest
 
 from macdo.algebra import (Frac, MPoly, NotDivisible, UniverseMismatch,
                            frac_sum, mp_prod, mp_sum, qpoch, qpoch_factors,
-                           shrunk_sum, try_div, universe, universe_of_names)
+                           try_div, universe, universe_of_names)
 from macdo.macdonald import dual_lowering
 from macdo.serialize import poly_from_obj, poly_to_obj
 
@@ -427,66 +427,43 @@ def assert_same_frac(got, want):
 
 @pytest.mark.parametrize("m, n", [(m, n) for n in range(1, 7) for m in range(7) if m * n <= 6])
 def test_shrunk_sum_is_the_plain_sum_shrunk_on_every_b_m_sum(monkeypatch, m, n):
+    # the plain sum, the cancelling sum and the plain sum shrunk carry
+    # different bags; each reduces to the coefficient B_m stores, so what
+    # B_m stores is the plain sum shrunk, whichever path the sum took
     from macdo import raising
-    seen = []
+    wants = []
 
-    def compared(u, parts):
-        got = shrunk_sum(u, parts)
-        assert_same_frac(got, frac_sum(u, parts).shrink())
-        seen.append(len(parts))
+    def compared(u, parts, **kw):
+        got = frac_sum(u, parts, **kw)
+        if kw.get("cancel"):
+            want = got.lowest()
+            plain = frac_sum(u, parts)
+            assert_same_frac(plain.lowest(), want)
+            assert_same_frac(plain.shrink().lowest(), want)
+            wants.append(want)
         return got
 
-    monkeypatch.setattr(raising, "shrunk_sum", compared)
-    raising.row_raising_op.__wrapped__(m, n)
-    assert seen
+    monkeypatch.setattr(raising, "frac_sum", compared)
+    op = raising.row_raising_op.__wrapped__(m, n)
+    assert wants
+    stored = list(op.coeffs.values())
+    assert len(stored) == sum(not w.is_zero() for w in wants)
+    for got, want in zip(stored, (w for w in wants if not w.is_zero())):
+        assert_same_frac(got, want)
 
 
 UP = ONE - U.mono(1, {"x1": 1, "x2": -1})    # 1 - x1/x2, the oriented form
 DOWN = ONE - U.mono(1, {"x1": -1, "x2": 1})  # 1 - x2/x1 = -(x2/x1) UP
 P1, P2 = ONE - Q, ONE - Q * Q
-NON_UNIT = U.const(2) - U.const(3) * Q
-THREE = ONE + X1 + X2
-
-
-@pytest.mark.parametrize("terms, want", [
-    # a partial sum that vanishes resets the union bag: 1/(1 - q) is all that is left
-    pytest.param([Frac(ONE, {P2: 1}), Frac(-ONE, {P2: 1}), Frac(ONE, {P1: 1})],
-                 Frac(ONE, {P1: 1}), id="vanishing-partial-sum"),
-    # the plain pairing adds 1/UP - 1/UP first and resets; a pairing by
-    # oriented bags would add 1/DOWN + 1/UP first and keep both factors
-    pytest.param([Frac(ONE, {DOWN: 1}), Frac(ONE, {UP: 1}), Frac(-ONE, {UP: 1})],
-                 Frac(ONE, {DOWN: 1}), id="plain-pairing"),
-    # both orientations of one pole: 1/UP + 1/DOWN = 1, each leaves in turn
-    pytest.param([Frac(ONE, {UP: 1}), Frac(ONE, {DOWN: 1})], Frac(ONE), id="both-orientations"),
-    pytest.param([Frac(X1, {UP: 2}), Frac(Q, {DOWN: 1, UP: 1}), Frac(T, {DOWN: 2})], None,
-                 id="both-orientations-squared"),
-    # 1 - q divides the plain numerator only through 1 - q^2, which stays in R
-    pytest.param([Frac(ONE, {P2: 1}), Frac(-Q * Q, {P2: 1}), Frac(X1, {P1: 1})],
-                 Frac((ONE - Q + X1) * (ONE + Q), {P2: 1}), id="1-q-through-1-q^2"),
-    # 2 - 3q leaves structurally after the cancelling merge took it out of
-    # D; 1 - x1 is tried against it and the three-term factor against all of R
-    pytest.param([Frac(U.const(2), {NON_UNIT: 1}), Frac(-3 * Q, {NON_UNIT: 1}),
-                  Frac(X1, {ONE - X1: 1, THREE: 1})],
-                 Frac(X1 + (ONE - X1) * THREE, {ONE - X1: 1, THREE: 1}), id="2-3q-in-R"),
-    pytest.param([Frac(X1 * NON_UNIT, {NON_UNIT: 2, THREE: 1}),
-                  Frac(THREE, {NON_UNIT: 1, THREE: 1, P1: 1})], None, id="2-3q-twice"),
-    # sums that are zero
-    pytest.param([], Frac(U.zero()), id="no-terms"),
-    pytest.param([Frac(U.zero(), {P1: 1})], Frac(U.zero()), id="zero-term"),
-    pytest.param([Frac(X1, {P1: 1}), Frac(-X1, {P1: 1})], Frac(U.zero()), id="zero-sum"),
-])
-def test_shrunk_sum_is_the_plain_sum_shrunk_by_hand(terms, want):
-    got = shrunk_sum(U, terms)
-    assert_same_frac(got, frac_sum(U, terms).shrink())
-    if want is not None:
-        assert_same_frac(got, want)
 
 
 def test_shrunk_sum_is_the_plain_sum_shrunk_on_random_sums():
+    # random sums over bags of +-1 binomials, the factors B_m's sums carry:
+    # the plain sum, the cancelling sum and the plain sum shrunk reduce alike
     rng = random.Random(14)
     pool = [P1, P2, ONE + Q, UP, DOWN, ONE - U.mono(1, {"q": 1, "x1": 1, "x2": -1}),
-            ONE - U.mono(1, {"q": -1, "x1": -1, "x2": 1}), X1 - X2, NON_UNIT, THREE,
-            ONE - T * Q]
+            ONE - U.mono(1, {"q": -1, "x1": -1, "x2": 1}), X1 - X2,
+            ONE + U.mono(1, {"q": 3})]
     for _ in range(60):
         terms = []
         for _ in range(rng.randint(1, 5)):
@@ -499,19 +476,61 @@ def test_shrunk_sum_is_the_plain_sum_shrunk_on_random_sums():
                 bag[f] = rng.randint(1, 2)
             terms.append(Frac(num, bag))
         rng.shuffle(terms)
-        assert_same_frac(shrunk_sum(U, terms), frac_sum(U, terms).shrink())
+        plain = frac_sum(U, terms)
+        want = plain.lowest()
+        assert want.eq(plain)
+        assert_same_frac(frac_sum(U, terms, cancel=True).lowest(), want)
+        assert_same_frac(plain.shrink().lowest(), want)
 
 
-def test_from_factors_cancels_only_shared_x_factors():
+def test_lowest_splits_1_minus_q_k_into_cyclotomic_pieces():
+    assert_same_frac(Frac(ONE + Q, {P2: 1}).lowest(), Frac(ONE, {P1: 1}))
+    # 1 - q^6 = (1 - q)(1 + q)(1 + q + q^2)(1 - q + q^2) and 1 + q^3 =
+    # (1 + q)(1 - q + q^2); (1 - q)^2 divides the numerator
+    phi3, phi6 = ONE + Q + Q * Q, ONE - Q + Q * Q
+    got = Frac(P1 * P1 * phi3, {ONE - U.mono(1, {"q": 6}): 2,
+                                ONE + U.mono(1, {"q": 3}): 1}).lowest()
+    assert_same_frac(got, Frac(ONE, {ONE + Q: 3, phi3: 1, phi6: 3}))
+
+
+def test_lowest_gives_one_form_for_one_value():
+    # (1 + t) / ((1 - q)(1 - x1/x2)), written five ways
+    p = ONE + T
+    want = Frac(p, {P1: 1, UP: 1})
+    ways = [want,
+            Frac(p * (ONE + Q), {P2: 1, UP: 1}),
+            Frac(-p * U.mono(1, {"x1": -1, "x2": 1}), {P1: 1, DOWN: 1}),
+            Frac(-p * U.mono(1, {"q": -1}), {ONE - U.mono(1, {"q": -1}): 1, UP: 1}),
+            Frac(p * (ONE + Q) * UP * DOWN, {P2: 1, UP: 2, DOWN: 1}),
+            Frac(p * U.mono(1, {"x2": 1}), {P1: 1, X2 - X1: 1})]
+    for f in ways:
+        assert f.eq(want)
+        assert_same_frac(f.lowest(), want)
+    assert_same_frac(Frac(U.zero(), {P1: 1}).lowest(), Frac(U.zero()))
+    assert_same_frac(Frac(p).lowest(), Frac(p))
+
+
+@pytest.mark.parametrize("factor", [ONE + X1 + X2, ONE - T, U.const(2) - Q, X1],
+                         ids=["three-terms", "1-t", "2-q", "monomial"])
+def test_lowest_refuses_other_factors(factor):
+    with pytest.raises(ValueError):
+        Frac(ONE, {factor: 1}).lowest()
+
+
+def test_from_factors_cancels_every_shared_factor():
     qx = ONE - U.mono(1, {"q": 1, "x1": 1, "x2": -1})
     f = Frac.from_factors(U, [X1 - X2, qx, ONE + X1], [X1 - X2, qx, qx])
     assert f.num == ONE + X1
     assert f.bag == ((qx, 1),)
-    # factors without x stay on both sides
+    # factors without x go as well
     for c in (ONE - Q * Q, ONE + T):
         g = Frac.from_factors(U, [c, X1 - X2], [c, X1 - X2])
-        assert g.num == c
-        assert g.bag == ((c, 1),)
+        assert g.num == ONE
+        assert g.bag == ()
+    # only identical factors cancel: 1 - q^2 over 1 - q stays as it is
+    g = Frac.from_factors(U, [ONE - Q * Q], [ONE - Q])
+    assert g.num == ONE - Q * Q
+    assert g.bag == ((ONE - Q, 1),)
 
 
 def test_binomial_division_property():

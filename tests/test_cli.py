@@ -1,8 +1,10 @@
 """CLI surface: subcommands, exit codes, deterministic serialization."""
 
 import hashlib
+import io
 import json
 import os
+import sys
 
 import pytest
 
@@ -308,22 +310,52 @@ def test_checked_in_golden_corpus_matches(capsys):
 
 @pytest.mark.parametrize("argv, digest", [
     (("operator", "--m", "3", "--n", "2", "--format", "json"),
-     "877e2aa63aa02d15d6139234e62a58c669be74e2de26b645cdb6590a8a87a586"),
+     "f7cf4467b776ab244c704abc111dd0109d7f183869f4b92f40f6fdc58042473d"),
     (("poly", "P", "--lambda", "3,1", "--n", "3", "--format", "json"),
      "70d10f1459f685992d4beb8d7d15270960df87a1167588a0cf1dc0935b61a416"),
     (("operator", "--m", "2", "--n", "3", "--format", "json"),
-     "2fae7c1cc4c3885e0fa65036b83f6a1dc6c7acecb74759e672d6cfc545646fcd"),
+     "a0663750d4850761e8164abeda4dca3f6a86a30ea1a376dfb1d0834098eda043"),
     (("operator", "--m", "4", "--n", "2", "--format", "json"),
-     "9593b38de7b9bf51d792bfc4650461ff698a814daedf79f742c1ed16ef2d68a4"),
+     "740ac6e22be44c01f2a43779327f84f7faf444b70f52b50ff6fe0ff11506d955"),
     (("operator", "--m", "3", "--n", "3", "--format", "json"),
-     "3abdba916ef966454d0cd5ee27f542621949f063b743780f1326e7510b156a5f"),
+     "05f97caf29ad31f835670cfba947ecf659c564c86610cdf0705de43dc7fbf8e2"),
     (("operator", "--m", "2", "--n", "4", "--format", "json"),
-     "2c3c259454bd90ee8aba639602f0a7c11fb0ff6bb20163d6179d8b72581e1106"),
-])
-def test_uncancelled_outputs_keep_their_bytes(capsys, argv, digest):
-    # the B_m build stores the plain sum's shrunk coefficients (through
-    # shrunk_sum) and the P solve sums without cancelling, so their stored
-    # fractions, and these bytes, change only with a canonical form
+     "1bc2cb26ad25229b0262cca3a5dc50f98d78de2a11f2f9300cb221ca84a87157"),
+], ids=["B-m3-n2", "P-31-n3", "B-m2-n3", "B-m4-n2", "B-m3-n3", "B-m2-n4"])
+def test_json_outputs_keep_their_bytes(capsys, argv, digest):
+    # B_m stores its coefficients in lowest terms (Frac.lowest), so its bytes
+    # depend only on its value; the P solve's fractions are not reduced, so
+    # its bytes also depend on how the solve sums them
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone, on write or only on the final flush."""
+
+    def __init__(self, broken):
+        super().__init__()
+        self.broken = broken
+
+    def write(self, s):
+        if self.broken == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(s)
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("broken", ["write", "flush"])
+@pytest.mark.parametrize("argv", [("verify", "--suite", "qbinom", "--n", "1"),
+                                  ("operator", "--m", "2", "--n", "2", "--format", "json")],
+                         ids=["verify", "operator"])
+def test_a_closed_stdout_is_io_trouble(capsys, monkeypatch, argv, broken):
+    # `macdo ... | head -n 1`: exit 2, as for any I/O trouble, not 1 (a
+    # failed identity) with a traceback
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe(broken))
+    assert main(list(argv)) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("error: stdout closed before the output was written\n")
+    assert "Traceback" not in err

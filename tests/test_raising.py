@@ -18,7 +18,7 @@ from macdo.raising import (block_coeff, block_coeff_interp, degree_bound_check,
                            order_bound_check, raising_block, raising_block_entry,
                            raising_block_recurrence, raising_column, raising_diff,
                            raising_on_kernel, recurrence_weight, row_raising_op)
-from macdo.serialize import op_to_obj, poly_to_obj
+from macdo.serialize import frac_to_obj, op_to_obj, poly_to_obj
 from sympy_util import sympy_poly
 
 U1 = universe(1)
@@ -159,6 +159,18 @@ def test_raising_columns_are_built_once_per_triple(monkeypatch):
     assert len(applied) == 2 and raising_column.cache_info().misses == 2
     assert raising_diff(2, Partition((1, 1)), 2).is_zero()
     assert len(applied) == 2 and raising_column.cache_info().misses == 2
+
+
+@pytest.mark.parametrize("m, mu, n", [(1, (2,), 2), (2, (3, 1), 3), (-1, (), 1),
+                                      (-1, (1,), 2)])
+def test_raising_column_refuses_mu_1_above_m_before_building(monkeypatch, m, mu, n):
+    def no_build(*args):
+        raise AssertionError("built B_m for a column outside its range")
+
+    monkeypatch.setattr("macdo.raising.row_raising_op", no_build)
+    # a negative m used to fail inside Partition, as "parts must be nonnegative"
+    with pytest.raises(ValueError, match="needs 0 <= mu_1 <= m"):
+        raising_column(m, mu, n)
 
 
 @pytest.mark.parametrize("m, mu, n, mult", [
@@ -316,6 +328,32 @@ def test_sympy_operator_oracle_rejects_a_shifted_coefficient():
         lifted = _sympy_operator_on_kernel(sp, m, n, lift=1)
         assert sp.cancel(lifted - image / ys) != 0, (m, n)
         assert sp.cancel(_sympy_frac(sp, raising_on_kernel(m, n)) - lifted) != 0, (m, n)
+
+
+def _sympy_cleared(sp, obj):
+    """A serialized polynomial as a sympy Poly, its largest monomial factor divided out."""
+    lows = [min(col) for col in zip(*(tm["e"] for tm in obj["terms"]))]
+    return sp.Poly.from_dict({tuple(e - lo for e, lo in zip(tm["e"], lows)): int(tm["c"])
+                              for tm in obj["terms"]}, sp.symbols(obj["vars"]))
+
+
+def _sympy_coprime(sp, fr):
+    g = sp.gcd(_sympy_cleared(sp, fr["num"]), _sympy_cleared(sp, fr["den"]))
+    return g.as_expr() in (1, -1)
+
+
+def test_stored_raising_coefficients_are_in_lowest_terms_by_sympy():
+    # sympy's gcd of each stored numerator and denominator, shared with
+    # nothing Frac.lowest uses
+    sp = pytest.importorskip("sympy")
+    for m, n in ((1, 2), (2, 2), (2, 3), (3, 2)):
+        for c in op_to_obj(row_raising_op(m, n), m)["coeffs"]:
+            assert _sympy_coprime(sp, c), (m, n, c["gamma"])
+    # negative control: a coefficient with 1 - q on both sides
+    u = universe(2)
+    c = row_raising_op(2, 2).coeffs[(1, 1)]
+    f = u.one() - u.gen("q")
+    assert not _sympy_coprime(sp, frac_to_obj(Frac(c.num * f, c.bag + ((f, 1),))))
 
 
 def _sympy_qbinom_x(sp, alpha, beta, lift=0):
