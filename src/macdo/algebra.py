@@ -28,10 +28,10 @@ a polynomial" is certified by exact trial division: one loop
 (``_divide_out``) divides bag factors out of a numerator for
 ``Frac.shrink``, ``Frac.as_poly``, ``Frac.lowest`` and the cancelling merge.
 ``Frac.lowest`` reduces a fraction whose bag holds only +-1 binomials on q
-and x: each splits into cyclotomic pieces Phi_d(X^w) of one fixed form, which
-are irreducible, so trial division alone reaches lowest terms, and two
-fractions of equal value come out field for field the same.  No GCD, no
-general factorization, no floating point.
+and x, or the pieces it makes of them: each splits into cyclotomic pieces
+Phi_d(X^w) of one fixed form, which are irreducible, so trial division alone
+reaches lowest terms, and two fractions of equal value come out field for
+field the same.  No GCD, no general factorization, no floating point.
 
 Negative exponents are legal for q and the x variables only; building a
 value with a negative exponent on t, u or y through the public constructors
@@ -903,13 +903,15 @@ class Frac:
         """The value in lowest terms, over a bag of canonical irreducible pieces.
 
         Every bag factor must be a two-term binomial with coefficients +-1
-        and exponents on q and x only; any other raises ValueError.  Each is
-        a unit times pieces :func:`_cyclotomic` (:func:`_pieces`); the units
-        move into the numerator through ``mono_mul``, and the numerator is
-        divided by each piece until a division fails.  The pieces are
-        irreducible and pairwise non-associate, so what stays in the bag is
-        prime to the numerator, with no GCD: two fractions of equal value
-        come out with the same numerator and the same bag.
+        and exponents on q and x only, or a piece :func:`_cyclotomic` of
+        three or more terms in either orientation (so a fraction in lowest
+        terms, or one with x permuted, may go through again); any other
+        raises ValueError.  Each is a unit times pieces (:func:`_pieces`);
+        the units move into the numerator through ``mono_mul``, and the
+        numerator is divided by each piece until a division fails.  The
+        pieces are irreducible and pairwise non-associate, so what stays in
+        the bag is prime to the numerator, with no GCD: two fractions of
+        equal value come out with the same numerator and the same bag.
         """
         if self.num.is_zero():
             return Frac(self.num)
@@ -962,17 +964,32 @@ def _cyclotomic(u: VarUniverse, w: tuple, d: int) -> MPoly:
     return piece
 
 
+def _totient(d: int) -> int:
+    """Euler's phi(d), by trial division."""
+    r, k, p = d, d, 2
+    while p * p <= k:
+        if k % p == 0:
+            r -= r // p
+            while k % p == 0:
+                k //= p
+        p += 1
+    return r - r // k if k > 1 else r
+
+
 def _pieces(u: VarUniverse, f: MPoly):
     """(c, b, pieces) with f = c X^b prod(pieces), for f = c1 X^a + c X^b with
-    c1, c = +-1, exponents on q and x only and X^a above X^b; ValueError for
-    any other f.
+    c1, c = +-1, exponents on q and x only and X^a above X^b, or for f a
+    piece of three or more terms in either orientation; ValueError for any
+    other f.
 
     With X^a = X^b Z^g, Z = X^w, w primitive and its first nonzero entry
     positive: 1 - Z^g is the product of the :func:`_cyclotomic` pieces for
     d | g, and 1 + Z^g = (1 - Z^2g)/(1 - Z^g) that for d | 2g, d not | g.
+    A longer f must be Phi_d(Z) itself (X^b = 1) or Phi_d(Z^-1) = Z^-g
+    Phi_d(Z) (X^a = 1), for a d with phi(d) = g, so its unit is X^b.
     """
     tm = f.terms
-    if len(tm) != 2 or any(c not in (1, -1) for c in tm.values()):
+    if len(tm) < 2 or (len(tm) == 2 and any(c not in (1, -1) for c in tm.values())):
         raise ValueError("lowest terms need +-1 binomial factors, not %s" % f.text())
     hi, lo = max(tm), min(tm)
     a, b = u.unpack(hi), u.unpack(lo)
@@ -981,6 +998,15 @@ def _pieces(u: VarUniverse, f: MPoly):
     v = [ea - eb for ea, eb in zip(a, b)]
     g = math.gcd(*v)
     w = tuple(e // g for e in v)
+    if len(tm) > 2:
+        if u.one_key in (hi, lo):
+            # phi(d) >= sqrt(d / 2), so d <= 2 g^2
+            z = f.mono_mul(1, {nm: -e for nm, e in zip(u.names, b) if e})
+            for d in range(3, 2 * g * g + 1):
+                if _totient(d) == g and z == _cyclotomic(u, w, d):
+                    return 1, b, [_cyclotomic(u, w, d)]
+        raise ValueError("lowest terms need +-1 binomials or their pieces, not %s"
+                         % f.text())
     h = g if tm[hi] != tm[lo] else 2 * g
     return tm[lo], b, [_cyclotomic(u, w, d) for d in range(1, h + 1)
                        if h % d == 0 and (h == g or g % d)]

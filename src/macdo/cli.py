@@ -7,6 +7,7 @@ comparison failed, 2 usage or I/O trouble.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -63,6 +64,30 @@ def _out_stream(path):
     return open(path, "w", encoding="utf-8") if path else sys.stdout
 
 
+def _write(text: str, stream=None) -> None:
+    """Write text to stream (stdout by default) in full, or raise OSError.
+
+    An unbuffered stdout (PYTHONUNBUFFERED, ``python -u``) is a text layer
+    over a raw file whose write may take only part of the bytes, and the
+    text layer drops the rest without an error.  So the encoded text goes to
+    the binary layer until every byte is taken; a reader that has gone makes
+    a later write raise BrokenPipeError.  A stream with no binary layer
+    takes the text as it is.
+    """
+    stream = sys.stdout if stream is None else stream
+    buf = getattr(stream, "buffer", None)
+    if buf is None:
+        stream.write(text)
+        return
+    stream.flush()
+    data = memoryview(text.encode(stream.encoding, stream.errors))
+    while data:
+        took = buf.write(data)
+        if not took:
+            raise BlockingIOError(errno.EAGAIN, "stdout took none of the output")
+        data = data[took:]
+
+
 def cmd_poly(args) -> int:
     lam = parse_partition(args.lam)
     check_limits(n=args.n, max_weight=lam.weight(), unsafe=args.unsafe_limits)
@@ -72,13 +97,13 @@ def cmd_poly(args) -> int:
         return 2
     sp = (mac.macdonald_p if args.kind == "P" else mac.macdonald_j)(lam, args.n)
     if args.format == "json":
-        sys.stdout.write(ser.dumps(ser.sympoly_to_obj(sp, lam, args.kind)))
+        _write(ser.dumps(ser.sympoly_to_obj(sp, lam, args.kind)))
         return 0
     chunks = []
     for mu in sorted(sp.expansion, reverse=True):
         c = sp.expansion[mu]
         chunks.append("(%s)*m[%s]" % (c.text(), mu.to_string() or "0"))
-    print(" + ".join(chunks) if chunks else "0")
+    _write((" + ".join(chunks) if chunks else "0") + "\n")
     return 0
 
 
@@ -87,10 +112,10 @@ def cmd_operator(args) -> int:
     check_build(args.m, args.n, unsafe=args.unsafe_limits)
     op = rs.row_raising_op(args.m, args.n)
     if args.format == "json":
-        sys.stdout.write(ser.dumps(ser.op_to_obj(op, args.m)))
+        _write(ser.dumps(ser.op_to_obj(op, args.m)))
         return 0
-    for gamma in op.keys_canonical():
-        print("T^%s: %s" % (list(gamma), op.coeffs[gamma].text()))
+    _write("".join("T^%s: %s\n" % (list(gamma), op.coeffs[gamma].text())
+                   for gamma in op.keys_canonical()))
     return 0
 
 
@@ -145,7 +170,7 @@ def cmd_identity(args) -> int:
     rec = {"identity": name, "params": params, "pass": bool(ok)}
     if not isinstance(result, bool) and not ok:
         rec["detail"] = ser.diff_text(result)
-    print(json.dumps(rec, sort_keys=True))
+    _write(json.dumps(rec, sort_keys=True) + "\n")
     return 0 if ok else 1
 
 
@@ -193,9 +218,8 @@ def cmd_verify(args) -> int:
         return 2
     try:
         reports, ok = run_cases(cases, shuffle_seed=args.seed)
-        for rec in reports:
-            rec = {k: v for k, v in rec.items() if k != "ms"}
-            stream.write(json.dumps(rec, sort_keys=True) + "\n")
+        _write("".join(json.dumps({k: v for k, v in rec.items() if k != "ms"},
+                                  sort_keys=True) + "\n" for rec in reports), stream)
     finally:
         if stream is not sys.stdout:
             stream.close()
@@ -321,6 +345,9 @@ def main(argv=None) -> int:
         if sys.stdout is sys.__stdout__:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: stdout closed before the output was written", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print("error: %s" % exc, file=sys.stderr)
         return 2
 
 

@@ -6,6 +6,14 @@ that collapses to the ordinary q-binomial coefficient in one variable.
 Interpolation points p_alpha pack the |alpha| values -1/(q^nu x_i) used to
 pin down operator coefficients; substituting them is exact Laurent-monomial
 substitution, never a limit.
+
+The q-binomial theorem and the split Chu-Vandermonde identity are sums of
+C[alpha,mu] weighted by a function of |mu| alone, so both are checked
+through the graded sums A_w(alpha) = sum_{|mu|=w} C[alpha,mu]
+(:func:`graded_qbinom_sum`), memoized and in lowest terms: the same exact
+sums regrouped, with no identity assumed.  The first Chu-Vandermonde
+identity is built from ordinary q-binomials and cross-ratios, not from
+qbinom_x, so it stays an independent check of A_w.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from math import comb
 
 from .algebra import (Frac, MPoly, VarUniverse, cauchy_kernel, frac_sum, mp_prod,
                       qpoch, qpoch_factors, universe)
-from .partitions import box_below, mi_leq, mi_sub, mi_weight, weak_compositions
+from .partitions import mi_leq, mi_sub, mi_weight, weak_compositions
 
 
 def _ratio_base(u: VarUniverse, c: int, i: int, j: int, e: int = 0) -> MPoly:
@@ -143,15 +151,32 @@ def interp_product_check(gamma: tuple, alpha: tuple) -> bool:
 # -- identity suite ----------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def graded_qbinom_sum(u: VarUniverse, alpha: tuple, w: int) -> Frac:
+    """A_w(alpha) = sum of C[alpha,mu] over mu <= alpha with |mu| = w.
+
+    Summed with the cancelling merge and brought to lowest terms
+    (:meth:`Frac.lowest`; every bag factor of C[alpha,mu] is a +-1 binomial
+    on q and x); zero when no mu has weight w.  Memoized per (universe,
+    alpha, w); the identity checks call it in ``universe(len(alpha))`` only.
+    """
+    terms = [qbinom_x(u, alpha, mu) for mu in weak_compositions(w, len(alpha))
+             if mi_leq(mu, alpha)]
+    return frac_sum(u, terms, cancel=True).lowest()
+
+
 def qbinom_theorem_diff(alpha: tuple) -> Frac:
-    """sum_{beta<=alpha} (-1)^{|b|} q^C(|b|,2) C[alpha,beta] u^{|b|} - (u)_{|alpha|}."""
+    """sum_{beta<=alpha} (-1)^{|b|} q^C(|b|,2) C[alpha,beta] u^{|b|} - (u)_{|alpha|}.
+
+    The sum is regrouped by w = |beta| as sum_w (-1)^w q^C(w,2) u^w A_w(alpha),
+    each A_w (:func:`graded_qbinom_sum`) the exact sum of its C[alpha,beta],
+    built in ``universe(n)`` and converted into the u-universe.
+    """
     n = len(alpha)
-    uu = universe(n, u=True)
-    terms = []
-    for beta in box_below(alpha):
-        w = mi_weight(beta)
-        c = qbinom_x(uu, tuple(alpha), tuple(beta))
-        terms.append(c * uu.mono((-1) ** w, {"q": comb(w, 2), "u": w}))
+    u, uu = universe(n), universe(n, u=True)
+    terms = [graded_qbinom_sum(u, tuple(alpha), w).convert(uu) *
+             uu.mono((-1) ** w, {"q": comb(w, 2), "u": w})
+             for w in range(mi_weight(alpha) + 1)]
     rhs = qpoch(uu.gen("u"), mi_weight(alpha))
     return frac_sum(uu, terms) - rhs
 
@@ -188,25 +213,20 @@ def chu_vandermonde2_diff(alpha: tuple, beta: tuple, k: int) -> Frac:
     sum q^{(|alpha|-|mu|)|nu|} C[alpha,mu] C[beta,nu] over |mu|+|nu| = k,
     minus [|alpha|+|beta| choose k]_q.  The exponent (|alpha|-|mu|)|nu| is
     forced by expanding (u)_{|a|+|b|} = (u)_{|a|} (u q^{|a|})_{|b|} and
-    comparing u^k coefficients.
+    comparing u^k coefficients.  The double sum is regrouped by j = |mu| as
+    sum_j q^{(|alpha|-j)(k-j)} A_j(alpha) A_{k-j}(beta), each A_w
+    (:func:`graded_qbinom_sum`) the exact sum of its C terms.
     """
     if len(alpha) != len(beta):
         raise ValueError("alpha and beta must have the same length")
     n = len(alpha)
     u = universe(n)
-    wa = mi_weight(alpha)
-    terms = []
-    for mu in box_below(alpha):
-        wm = mi_weight(mu)
-        if wm > k:
-            continue
-        for nu in weak_compositions(k - wm, n):
-            if not mi_leq(nu, beta):
-                continue
-            c = qbinom_x(u, tuple(alpha), tuple(mu)) * \
-                qbinom_x(u, tuple(beta), tuple(nu))
-            terms.append(c * u.mono(1, {"q": (wa - wm) * (k - wm)}))
-    return frac_sum(u, terms) - ordinary_qbinom(u, wa + mi_weight(beta), k)
+    wa, wb = mi_weight(alpha), mi_weight(beta)
+    terms = [graded_qbinom_sum(u, tuple(alpha), j) *
+             graded_qbinom_sum(u, tuple(beta), k - j) *
+             u.mono(1, {"q": (wa - j) * (k - j)})
+             for j in range(max(0, k - wb), min(k, wa) + 1)]
+    return frac_sum(u, terms) - ordinary_qbinom(u, wa + wb, k)
 
 
 def qbinom_product_rule_diff(alpha: tuple, gamma: tuple, beta: tuple) -> Frac:

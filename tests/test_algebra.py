@@ -510,11 +510,31 @@ def test_lowest_gives_one_form_for_one_value():
     assert_same_frac(Frac(p).lowest(), Frac(p))
 
 
-@pytest.mark.parametrize("factor", [ONE + X1 + X2, ONE - T, U.const(2) - Q, X1],
-                         ids=["three-terms", "1-t", "2-q", "monomial"])
+@pytest.mark.parametrize("factor", [ONE + X1 + X2, ONE - T, U.const(2) - Q, X1,
+                                    ONE + Q + U.mono(1, {"q": 3}),
+                                    -(ONE + Q + Q * Q), X1 * (ONE + Q + Q * Q),
+                                    U.mono(1, {"q": -1}) * (ONE - Q + Q * Q)],
+                         ids=["three-terms", "1-t", "2-q", "monomial", "1+q+q^3",
+                              "minus-phi3", "x1-phi3", "q^-1-phi6"])
 def test_lowest_refuses_other_factors(factor):
     with pytest.raises(ValueError):
         Frac(ONE, {factor: 1}).lowest()
+
+
+def test_lowest_takes_its_own_pieces_in_either_orientation():
+    # Phi_3(Z) = 1 + Z + Z^2 and Phi_6(Z) = 1 - Z + Z^2 have three terms;
+    # lowest() makes them and must take them back, as Phi_d(Z) or as
+    # Phi_d(1/Z) = Z^-2 Phi_d(Z), whose unit Z^2 moves into the numerator
+    z = U.mono(1, {"x1": 1, "x2": -1})
+    for base, inv in ((Q, U.mono(1, {"q": -1})), (z, U.mono(1, {"x1": -1, "x2": 1})),
+                      (Q * z, U.mono(1, {"q": -1, "x1": -1, "x2": 1}))):
+        for sign in (1, -1):
+            f = Frac(ONE + T, {ONE + base.scale(sign) + base * base: 2, ONE - base: 1})
+            assert_same_frac(f.lowest(), f)
+            g = Frac(ONE + T, {ONE + inv.scale(sign) + inv * inv: 2, ONE - base: 1})
+            want = Frac((ONE + T) * (base * base) * (base * base), f.bag)
+            assert g.eq(want)
+            assert_same_frac(g.lowest(), want)
 
 
 def test_from_factors_cancels_every_shared_factor():

@@ -359,3 +359,54 @@ def test_a_closed_stdout_is_io_trouble(capsys, monkeypatch, argv, broken):
     err = capsys.readouterr().err
     assert err.endswith("error: stdout closed before the output was written\n")
     assert "Traceback" not in err
+
+
+class _ShortWrites(io.RawIOBase):
+    """A raw stdout whose write takes at most ``step`` bytes a call, as a
+    pipe may; after ``gone_after`` bytes its reader has gone."""
+
+    def __init__(self, step, gone_after=None):
+        super().__init__()
+        self.data = bytearray()
+        self.step, self.gone_after = step, gone_after
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        if self.gone_after is not None and len(self.data) >= self.gone_after:
+            raise BrokenPipeError(32, "Broken pipe")
+        took = bytes(b[:self.step])
+        self.data += took
+        return len(took)
+
+
+def _unbuffered_stdout(raw):
+    # what PYTHONUNBUFFERED=1 makes of stdout: a text layer straight over the
+    # raw file, which ignores a short count from its write
+    return io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
+
+
+@pytest.mark.parametrize("argv", [("verify", "--suite", "qbinom", "--n", "1"),
+                                  ("operator", "--m", "2", "--n", "2", "--format", "json"),
+                                  ("operator", "--m", "2", "--n", "2")],
+                         ids=["verify", "operator-json", "operator-text"])
+def test_short_raw_writes_still_deliver_every_byte(capsys, monkeypatch, argv):
+    code, want, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(want) > 100
+    raw = _ShortWrites(7)
+    monkeypatch.setattr(sys, "stdout", _unbuffered_stdout(raw))
+    assert main(list(argv)) == 0
+    assert raw.data.decode("utf-8") == want
+
+
+def test_short_raw_writes_to_a_closed_pipe_are_io_trouble(capsys, monkeypatch):
+    # `PYTHONUNBUFFERED=1 macdo operator ... | head -c 100`: exit 2, not 0
+    # with the output cut short
+    raw = _ShortWrites(64, gone_after=100)
+    monkeypatch.setattr(sys, "stdout", _unbuffered_stdout(raw))
+    assert main(["operator", "--m", "2", "--n", "2", "--format", "json"]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("error: stdout closed before the output was written\n")
+    assert "Traceback" not in err
+    assert len(raw.data) == 128

@@ -1,15 +1,17 @@
 """The x-dependent q-binomial coefficient and its identity family."""
 
 from collections import Counter
+from math import comb
 
 import pytest
 
-from macdo.algebra import Frac, mp_prod, universe
-from macdo.partitions import box_below, weak_compositions
+from macdo import qbinomial
+from macdo.algebra import Frac, frac_sum, mp_prod, qpoch, universe
+from macdo.partitions import box_below, mi_leq, weak_compositions
 from macdo.qbinomial import (chu_vandermonde2_diff, chu_vandermonde_diff,
-                             double_poch_factors, interp_product_eval, interp_point,
-                             ordinary_qbinom, qbinom_product_rule_diff,
-                             qbinom_theorem_diff, qbinom_x)
+                             double_poch_factors, graded_qbinom_sum,
+                             interp_product_eval, interp_point, ordinary_qbinom,
+                             qbinom_product_rule_diff, qbinom_theorem_diff, qbinom_x)
 
 U1 = universe(1)
 U2 = universe(2)
@@ -121,3 +123,97 @@ def test_product_rule_small_grid():
         for gamma in box_below(alpha):
             for beta in box_below(gamma):
                 assert qbinom_product_rule_diff(alpha, gamma, beta).is_zero()
+
+
+# -- the graded sums A_w(alpha) behind both summation theorems ------------------------
+
+
+def _direct_qbinom_theorem_diff(alpha, coeff=qbinom_x):
+    # the check before its regrouping by |beta|: one term per beta <= alpha
+    uu = universe(len(alpha), u=True)
+    terms = [coeff(uu, alpha, beta) *
+             uu.mono((-1) ** sum(beta), {"q": comb(sum(beta), 2), "u": sum(beta)})
+             for beta in box_below(alpha)]
+    return frac_sum(uu, terms) - qpoch(uu.gen("u"), sum(alpha))
+
+
+def _direct_chu_vandermonde2_diff(alpha, beta, k, coeff=qbinom_x):
+    # the double sum before its regrouping by |mu|: one term per (mu, nu)
+    n = len(alpha)
+    u = universe(n)
+    terms = []
+    for mu in box_below(alpha):
+        wm = sum(mu)
+        for nu in weak_compositions(k - wm, n) if wm <= k else ():
+            if mi_leq(nu, beta):
+                terms.append(coeff(u, alpha, mu) * coeff(u, beta, nu) *
+                             u.mono(1, {"q": (sum(alpha) - wm) * (k - wm)}))
+    return frac_sum(u, terms) - ordinary_qbinom(u, sum(alpha) + sum(beta), k)
+
+
+def _tilted(u, alpha, mu):
+    # C[alpha,mu] (1 + t^(mu_1 + 1)): satisfies neither theorem, so the
+    # regrouped and the direct sums are compared on values that do not vanish
+    return qbinom_x(u, alpha, mu) * (u.one() + u.mono(1, {"t": mu[0] + 1}))
+
+
+@pytest.fixture(params=["C", "tilted C"])
+def coeff(request, monkeypatch):
+    if request.param == "C":
+        yield qbinom_x
+        return
+    graded_qbinom_sum.cache_clear()
+    monkeypatch.setattr(qbinomial, "qbinom_x", _tilted)
+    yield _tilted
+    graded_qbinom_sum.cache_clear()
+
+
+# n <= 2, |alpha| <= 3
+SMALL_ALPHAS = [alpha for n in (1, 2) for w in range(4) for alpha in weak_compositions(w, n)]
+
+
+def test_regrouped_qbinom_theorem_is_the_direct_sum(coeff):
+    nonzero = 0
+    for alpha in SMALL_ALPHAS:
+        got = qbinom_theorem_diff(alpha)
+        assert got.eq(_direct_qbinom_theorem_diff(alpha, coeff)), alpha
+        nonzero += not got.is_zero()
+    assert nonzero == (0 if coeff is qbinom_x else len(SMALL_ALPHAS))
+
+
+def test_regrouped_split_chu_vandermonde_is_the_direct_double_sum(coeff):
+    nonzero = 0
+    for alpha in SMALL_ALPHAS:
+        for beta in SMALL_ALPHAS:
+            if len(beta) != len(alpha):
+                continue
+            for k in range(sum(alpha) + sum(beta) + 2):
+                got = chu_vandermonde2_diff(alpha, beta, k)
+                assert got.eq(_direct_chu_vandermonde2_diff(alpha, beta, k, coeff)), \
+                    (alpha, beta, k)
+                nonzero += not got.is_zero()
+    assert (nonzero > 0) == (coeff is not qbinom_x)
+
+
+def test_a_wrong_graded_sum_fails_both_theorems(monkeypatch):
+    # negative control: A_w replaced by q A_w
+    orig = qbinomial.graded_qbinom_sum
+    monkeypatch.setattr(qbinomial, "graded_qbinom_sum",
+                        lambda u, alpha, w: orig(u, alpha, w) * u.gen("q"))
+    assert not qbinom_theorem_diff((1, 1)).is_zero()
+    assert not qbinom_theorem_diff((2,)).is_zero()
+    assert not chu_vandermonde2_diff((1, 0), (0, 1), 1).is_zero()
+    assert not chu_vandermonde2_diff((2, 1), (1, 1), 3).is_zero()
+
+
+def test_graded_sums_have_empty_bags():
+    # A_w(alpha) is a polynomial: [|alpha| choose w]_q
+    for n in (1, 2, 3):
+        u = universe(n)
+        for d in range(6):
+            for alpha in weak_compositions(d, n):
+                for w in range(d + 1):
+                    a_w = graded_qbinom_sum(u, alpha, w)
+                    assert a_w.bag == (), (alpha, w)
+                    assert a_w.num == ordinary_qbinom(u, d, w), (alpha, w)
+    assert graded_qbinom_sum(U2, (1, 1), 3).is_zero()

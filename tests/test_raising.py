@@ -6,7 +6,8 @@ from math import comb
 import pytest
 
 from macdo.algebra import Frac, mp_sum, universe
-from macdo.macdonald import QDiffOp, SymPoly, macdonald_j, monomial_symmetric
+from macdo.macdonald import (QDiffOp, SymPoly, macdonald_j, monomial_symmetric,
+                             x_transposition_rename)
 from macdo.partitions import Partition, box_below, weak_compositions
 from macdo.qbinomial import qbinom_x
 from macdo.raising import (block_coeff, block_coeff_interp, degree_bound_check,
@@ -340,6 +341,31 @@ def _sympy_cleared(sp, obj):
 def _sympy_coprime(sp, fr):
     g = sp.gcd(_sympy_cleared(sp, fr["num"]), _sympy_cleared(sp, fr["den"]))
     return g.as_expr() in (1, -1)
+
+
+def _same_frac(a, b):
+    return a.num.terms == b.num.terms and a.bag == b.bag
+
+
+@pytest.mark.parametrize("m, n", [(m, n) for n in range(1, 7) for m in range(7) if m * n <= 6])
+def test_stored_raising_coefficients_go_through_lowest_unchanged(m, n):
+    # the bags hold the pieces Frac.lowest makes, Phi_d(q) with d >= 3 among them
+    for gamma, c in row_raising_op(m, n).coeffs.items():
+        assert _same_frac(c.lowest(), c), (m, n, gamma)
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 2), (3, 3)])
+def test_transposed_raising_coefficients_reduce_to_the_stored_ones(m, n):
+    # c_{sigma gamma} is c_gamma with x permuted by sigma; lowest terms are
+    # unique, so the permuted coefficient reduced again is the stored one
+    op = row_raising_op(m, n)
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        ren = x_transposition_rename(i, j)
+        for gamma, c in op.coeffs.items():
+            sg = list(gamma)
+            sg[i - 1], sg[j - 1] = sg[j - 1], sg[i - 1]
+            assert _same_frac(c.convert(op.u, ren).lowest(), op.coeffs[tuple(sg)]), \
+                (m, n, gamma, (i, j))
 
 
 def test_stored_raising_coefficients_are_in_lowest_terms_by_sympy():
