@@ -12,8 +12,9 @@ one substitution kernel (``MPoly._remap``, behind ``qshift``,
 ``subs_monomials`` and ``convert``) reject an exponent outside [-2^27, 2^27)
 rather than let it spill into the next field; the last two test all keys in
 one pass and compute each term's exponents (``_check_images``) only when
-that pass fails.  ``MPoly.__mul__`` adds keys unchecked, because a check per
-term product would cost more than the product.  Clearing fractions to a
+that pass fails, and ``try_div`` bounds a quotient the same way.
+``MPoly.__mul__`` adds keys unchecked, because a check per term product
+would cost more than the product.  Clearing fractions to a
 common denominator multiplies mostly by two-term bag factors; a product with
 a two-term operand, on either side, takes two linear passes over the other
 operand (``_mul_binomial``), the counterpart of the chain walk that divides
@@ -619,7 +620,8 @@ def try_div(num: MPoly, den: MPoly):
     binomials, Vandermonde differences) take the linear-time chain walk of
     :func:`_div_binomial`; every other divisor, a monomial or a two-term
     divisor such as 2 - 3q included, takes the heap division of Monagan and
-    Pearce (CASC 2007).
+    Pearce (CASC 2007).  Both raise ValueError for a quotient with an
+    exponent outside [-2^27, 2^27) (:func:`_check_quotient`).
     """
     _chk_u(num.u, den.u)
     if den.is_zero():
@@ -667,8 +669,24 @@ def try_div(num: MPoly, den: MPoly):
                 del r[kk]
     if r:
         return None
+    _check_quotient(num, den)
     back = noff - doff
     return MPoly(u, {k + back: c for k, c in qu.items()})
+
+
+def _check_quotient(num: MPoly, den: MPoly) -> None:
+    """Raise ValueError unless the exact quotient num/den fits the packed fields.
+
+    In each variable its exponents range from num's least minus den's least
+    to num's greatest minus den's greatest.  The heap division calls this
+    for every quotient it finds; the chain walk only when a position it
+    passed or the divisor has an exponent outside [-2^26, 2^26).
+    """
+    for nm in num.u.names:
+        lo, hi = num.min_exp(nm) - den.min_exp(nm), num.max_exp(nm) - den.max_exp(nm)
+        if lo < -_B or hi >= _B:
+            raise ValueError("a quotient exponent on %s overflows its %d-bit packed field"
+                             % (nm, _W))
 
 
 def _div_binomial(num: MPoly, den: MPoly):
@@ -686,7 +704,11 @@ def _div_binomial(num: MPoly, den: MPoly):
     walks are cut off by a step budget; integer key arithmetic stays
     faithful to exponent vectors within that budget.  A leading
     coefficient of +-1 is its own inverse, so the walk needs no integer
-    division: the quotient term is a*c1 and the carry a*(-c1*c2).
+    division: the quotient term is a*c1 and the carry a*(-c1*c2).  The walk
+    also ORs together every position it gives a quotient term (the test of
+    ``MPoly._exps_within``): while those and the divisor's exponents lie in
+    [-2^26, 2^26), every position is a faithful key and no quotient
+    exponent can leave its field; otherwise :func:`_check_quotient` runs.
     """
     u = num.u
     k1, k2 = sorted(den.terms, reverse=True)
@@ -710,6 +732,9 @@ def _div_binomial(num: MPoly, den: MPoly):
     rest = dict(num.terms)
     qu = {}
     mult = -c1 * c2
+    ones = u.one_key >> (_W - 1)
+    lo, high = (1 << (_W - 2)) * ones, (1 << (_W - 1)) * ones  # as _exps_within(_W - 2)
+    spill = (k1 - lo) | (k2 - lo)
     for f in sorted(buckets, reverse=dvec[comp] > 0):
         for pos in buckets[f]:
             if pos not in rest:
@@ -720,11 +745,14 @@ def _div_binomial(num: MPoly, den: MPoly):
                 if not a:
                     break
                 qu[pos + qoff] = a * c1
+                spill |= pos - lo
                 carry = a * mult
                 left -= 1
                 if left < 0:
                     return None
                 pos -= d
+    if spill & high:
+        _check_quotient(num, den)
     return MPoly(u, qu)
 
 

@@ -95,14 +95,13 @@ def cmd_poly(args) -> int:
         print("error: partition %r needs more than %d variables" % (lam, args.n),
               file=sys.stderr)
         return 2
-    sp = (mac.macdonald_p if args.kind == "P" else mac.macdonald_j)(lam, args.n)
+    coords = (mac.macdonald_j(lam, args.n) if args.kind == "J"
+              else mac.macdonald_p(lam, args.n).expansion)
     if args.format == "json":
-        _write(ser.dumps(ser.sympoly_to_obj(sp, lam, args.kind)))
+        _write(ser.dumps(ser.sympoly_to_obj(coords, lam, args.kind)))
         return 0
-    chunks = []
-    for mu in sorted(sp.expansion, reverse=True):
-        c = sp.expansion[mu]
-        chunks.append("(%s)*m[%s]" % (c.text(), mu.to_string() or "0"))
+    chunks = ["(%s)*m[%s]" % (coords[mu].text(), mu.to_string() or "0")
+              for mu in sorted(coords, reverse=True)]
     _write((" + ".join(chunks) if chunks else "0") + "\n")
     return 0
 
@@ -174,28 +173,6 @@ def cmd_identity(args) -> int:
     return 0 if ok else 1
 
 
-def _operator_weight(case) -> int:
-    """The largest m of any B_m a case builds.
-
-    lambda_1 for an iterated build, else the case's m parameter (0 if none).
-    """
-    if case.name == "iterated_build":
-        return max(parse_partition(case.params["lambda"]), default=0)
-    return case.params.get("m", 0)
-
-
-# the case names whose check builds B_m on the case's n variables, with the
-# case's m; an iterated build's largest is B_{lambda_1}
-_BUILDS_B_M = ("raise", "equivariance", "order_bound", "key_identity", "degree_bound")
-
-
-def _built_operator(case) -> tuple:
-    """(m, n) of the largest B_m a case builds, (0, 0) if it builds none."""
-    if case.name == "iterated_build" or case.name in _BUILDS_B_M:
-        return _operator_weight(case), case.params["n"]
-    return 0, 0
-
-
 def cmd_verify(args) -> int:
     check_limits(n=args.n, m=args.m, max_weight=args.max_weight,
                  unsafe=args.unsafe_limits)
@@ -208,8 +185,8 @@ def cmd_verify(args) -> int:
     if not cases:
         print("error: no %s cases within these limits" % args.suite, file=sys.stderr)
         return 2
-    check_limits(m=max(_operator_weight(c) for c in cases), unsafe=args.unsafe_limits)
-    m, n = max((_built_operator(c) for c in cases), key=lambda mn: mn[0] * mn[1])
+    check_limits(m=max(c.builds[0] for c in cases), unsafe=args.unsafe_limits)
+    m, n = max((c.builds for c in cases), key=lambda mn: mn[0] * mn[1])
     check_build(m, n, unsafe=args.unsafe_limits)
     try:
         stream = _out_stream(args.out)

@@ -9,7 +9,9 @@ the dual side is not built separately: by the duality q <-> t, x <-> y
 D(1;q,t) on the renamed variables, which is how :func:`dual_lowering` and
 the P_lam(y;t,q) of the Cauchy checks are obtained.  P polynomials come out
 of a dominance-triangular solve against the one-subset operator D_1, and the
-integral forms J certify their coefficients in Z[q,t] by exact division.
+integral forms J are their m-basis coordinates, certified in Z[q,t] by exact
+division.  One certificate (:func:`certified_column`) vouches for every
+m-basis column of an operator: D_1 and D(u) here, B_m in ``raising``.
 """
 
 from __future__ import annotations
@@ -226,15 +228,11 @@ def is_symmetric_frac(v: Frac) -> bool:
 class SymPoly:
     """A symmetric polynomial carried both as a value and in the m basis."""
 
-    __slots__ = ("n", "expansion", "value")
+    __slots__ = ("expansion", "value")
 
-    def __init__(self, n: int, expansion: dict, value: Frac):
-        self.n = n
+    def __init__(self, expansion: dict, value: Frac):
         self.expansion = expansion
         self.value = value
-
-    def as_mpoly(self) -> MPoly:
-        return self.value.as_poly()
 
 
 def d1_eigenvalue(u: VarUniverse, mu: Partition) -> MPoly:
@@ -251,19 +249,27 @@ def eigenvalue_u(u: VarUniverse, lam: Partition) -> MPoly:
                        for i, m in enumerate(lam.padded(n), start=1)))
 
 
-def _triangular_column(op: QDiffOp, name: str, mu: Partition, diagonal: MPoly) -> dict:
-    """The m-basis column op(m_mu) as {nu: coefficient}, certified triangular.
+def certified_column(op: QDiffOp, name: str, mu: Partition, top: Partition) -> dict:
+    """The m-basis column op(m_mu) as {nu: coefficient}, certified below ``top``.
 
-    The image must be a polynomial (``as_poly``) and symmetric
-    (:func:`expand_in_monomial_basis`), every nu in it must be dominated by
-    mu, and its entry at mu must equal ``diagonal``; AssertionError otherwise.
+    The image of :meth:`QDiffOp.apply` must be a polynomial (``as_poly``)
+    and symmetric (:func:`expand_in_monomial_basis`), and every nu in it
+    must have the weight of ``top`` and be dominated by it; AssertionError
+    otherwise, naming the operator by ``name``.
     """
-    img = op.apply(monomial_symmetric(op.u, mu)).as_poly()
-    col = expand_in_monomial_basis(img)
+    col = expand_in_monomial_basis(op.apply(monomial_symmetric(op.u, mu)).as_poly())
     for nu in col:
-        if not mu.dominates(nu):
-            raise AssertionError("%s broke dominance triangularity" % name)
-    if col.get(mu) != diagonal:
+        if nu.weight() != top.weight() or not top.dominates(nu):
+            raise AssertionError("%s m_(%s) has m_(%s) outside the dominance order "
+                                 "below (%s)" % (name, mu.to_string(), nu.to_string(),
+                                                 top.to_string()))
+    return col
+
+
+def _eigen_column(op: QDiffOp, name: str, mu: Partition, eigenvalue: MPoly) -> dict:
+    """:func:`certified_column` below mu, whose entry at mu must be ``eigenvalue``."""
+    col = certified_column(op, name, mu, mu)
+    if col.get(mu) != eigenvalue:
         raise AssertionError("%s diagonal entry is not the eigenvalue" % name)
     return col
 
@@ -281,8 +287,7 @@ def macdonald_p(lam: Partition, n: int) -> SymPoly:
     u = universe(n)
     d1 = macdonald_d1(u)
     down = dominance_downset(lam, n)
-    columns = {mu: _triangular_column(d1, "D_1", mu, d1_eigenvalue(u, mu))
-               for mu in down}
+    columns = {mu: _eigen_column(d1, "D_1", mu, d1_eigenvalue(u, mu)) for mu in down}
     e_lam = d1_eigenvalue(u, lam)
     coeffs = {lam: Frac(u.one())}
     for pos in range(len(down) - 2, -1, -1):
@@ -297,7 +302,7 @@ def macdonald_p(lam: Partition, n: int) -> SymPoly:
         if not c.is_zero():
             coeffs[nu] = c
     value = frac_sum(u, [c * monomial_symmetric(u, mu) for mu, c in coeffs.items()])
-    return SymPoly(n, coeffs, value)
+    return SymPoly(coeffs, value)
 
 
 def integral_form_scalar(u: VarUniverse, lam: Partition) -> MPoly:
@@ -307,19 +312,16 @@ def integral_form_scalar(u: VarUniverse, lam: Partition) -> MPoly:
 
 
 @memo_per_partition
-def macdonald_j(lam: Partition, n: int) -> SymPoly:
-    """Integral form J_lam = c_lam * P_lam with certified Z[q,t] coefficients.
+def macdonald_j(lam: Partition, n: int) -> dict:
+    """Integral form J_lam = c_lam * P_lam as its m-basis coordinates.
 
-    Raises NotDivisible if any monomial-basis coefficient fails the
-    integrality certificate (which would mean an upstream bug).  Memoized
-    per (lam, n).
+    Returns {mu: coefficient}, each coefficient c_lam times P's, certified
+    in Z[q,t] by exact division (``as_poly`` raises NotDivisible otherwise,
+    which would mean an upstream bug).  Memoized per (lam, n); the cached
+    dict is never mutated.
     """
-    u = universe(n)
-    p = macdonald_p(lam, n)
-    c_lam = integral_form_scalar(u, lam)
-    coords = {mu: (c * c_lam).as_poly() for mu, c in p.expansion.items()}
-    expansion = {mu: Frac(c) for mu, c in coords.items()}
-    return SymPoly(n, expansion, Frac(from_monomial_basis(u, coords)))
+    c_lam = integral_form_scalar(universe(n), lam)
+    return {mu: (c * c_lam).as_poly() for mu, c in macdonald_p(lam, n).expansion.items()}
 
 
 # -- identity checks -----------------------------------------------------------
@@ -335,11 +337,19 @@ def d_u_column(mu: Partition, n: int) -> dict:
     cached dict is never mutated.
     """
     uu = universe(n, u=True)
-    return _triangular_column(macdonald_d(uu), "D(u)", mu, eigenvalue_u(uu, mu))
+    return _eigen_column(macdonald_d(uu), "D(u)", mu, eigenvalue_u(uu, mu))
 
 
-def sum_rows(u: VarUniverse, rows: dict) -> dict:
-    """{nu: sum of the polynomials rows[nu]} over the rows that do not vanish."""
+def combine_columns(u: VarUniverse, coords: dict, column, minus: dict) -> dict:
+    """sum_mu coords[mu] column(mu) - minus in the m basis, as {nu: polynomial}.
+
+    ``column(mu)`` is an m-basis column {nu: coefficient}.  Each row is summed
+    once, rows that vanish are left out, and neither input dict is mutated.
+    """
+    rows = {nu: [-c] for nu, c in minus.items()}
+    for mu, c in coords.items():
+        for nu, d in column(mu).items():
+            rows.setdefault(nu, []).append(c * d)
     sums = ((nu, mp_sum(u, row)) for nu, row in rows.items())
     return {nu: r for nu, r in sums if not r.is_zero()}
 
@@ -362,11 +372,9 @@ def eigen_diff(lam: Partition, n: int) -> Frac:
         raise AssertionError("P_(%s) has an x-dependent denominator" % lam.to_string())
     coords = expand_in_monomial_basis(p.num)
     e_lam = eigenvalue_u(uu, lam)
-    rows = {nu: [-(e_lam * c)] for nu, c in coords.items()}
-    for mu, c in coords.items():
-        for nu, d in d_u_column(mu, n).items():
-            rows.setdefault(nu, []).append(c * d)
-    return Frac(from_monomial_basis(uu, sum_rows(uu, rows)), p.bag)
+    rows = combine_columns(uu, coords, lambda mu: d_u_column(mu, n),
+                           {nu: e_lam * c for nu, c in coords.items()})
+    return Frac(from_monomial_basis(uu, rows), p.bag)
 
 
 def determinantal_agreement_check(n: int) -> bool:

@@ -8,8 +8,9 @@ these closed forms: the elimination recurrence rebuilds phi level by level,
 and an interpolation evaluation of the dual-lowered Cauchy kernel
 (1/(y1..ym)) D_y(1;t,q) prod (1+x_i y_j) rebuilds b.  Verification works
 on the monomial basis: B_m m_mu is applied once per (m, mu, n) and certified
-as a polynomial column in Z[q,t], and the raising property and the iterated
-build combine those columns with the integral forms' coordinates.
+as a polynomial column in Z[q,t] by the certificate D_1 and D(u) share, and
+the raising property and the iterated build combine those columns with the
+integral forms' coordinates.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from functools import lru_cache
 from math import comb
 
 from .algebra import Frac, MPoly, VarUniverse, cauchy_kernel, frac_sum, universe
-from .macdonald import (QDiffOp, cross_term, dual_lowering, expand_in_monomial_basis,
-                        from_monomial_basis, macdonald_j, macdonald_p,
-                        monomial_symmetric, sum_rows, x_transposition_rename)
+from .macdonald import (QDiffOp, certified_column, combine_columns, cross_term,
+                        dual_lowering, from_monomial_basis, macdonald_j, macdonald_p,
+                        x_transposition_rename)
 from .partitions import (Partition, box_below, memo_per_partition, mi_leq,
                          mi_sub, mi_weight, multi_indices_upto, weak_compositions)
 from .qbinomial import double_poch_factors, interp_assignment, qbinom_x
@@ -225,56 +226,27 @@ def raising_column(m: int, mu, n: int) -> dict:
     For mu_1 <= m the kernel identity makes B_m m_mu a polynomial: the
     kernel prod (1 + x_i y_j) over m y variables spans the s_lam(x) with
     lam_1 <= m, which is the span of the m_mu with mu_1 <= m (Macdonald,
-    ch. I).  The image of :meth:`QDiffOp.apply` is certified polynomial
-    (``as_poly``) and symmetric (:func:`expand_in_monomial_basis`); every nu
-    must have weight |mu| + m and be dominated by (m) u mu sorted, and every
-    coefficient must be free of negative q and t exponents, AssertionError
-    otherwise.  Raises ValueError for m < 0 or mu_1 > m, before anything is
-    built.  Memoized per (m, mu, n); the cached dict is never mutated.
+    ch. I).  :func:`certified_column` certifies the image below (m) u mu
+    sorted, and every coefficient must be free of negative q and t
+    exponents, AssertionError otherwise.  Raises ValueError for m < 0 or
+    mu_1 > m, before anything is built.  Memoized per (m, mu, n); the
+    cached dict is never mutated.
     """
     mu = Partition(mu)
     if m < 0 or (mu and mu[0] > m):
         raise ValueError("B_m m_mu needs 0 <= mu_1 <= m, not m = %d, mu = (%s)"
                          % (m, mu.to_string()))
     top = Partition(sorted(mu + (m,), reverse=True))
-    img = row_raising_op(m, n).apply(monomial_symmetric(universe(n), mu)).as_poly()
-    col = expand_in_monomial_basis(img)
-    for nu, c in col.items():
-        if nu.weight() != top.weight() or not top.dominates(nu):
-            raise AssertionError("B_%d m_(%s) has m_(%s) outside the dominance "
-                                 "order below (%s)" % (m, mu.to_string(), nu.to_string(),
-                                                       top.to_string()))
-        if c.min_exp("q") < 0 or c.min_exp("t") < 0:
-            raise AssertionError("B_%d m_(%s) has a negative q or t exponent"
-                                 % (m, mu.to_string()))
+    col = certified_column(row_raising_op(m, n), "B_%d" % m, mu, top)
+    if any(c.min_exp("q") < 0 or c.min_exp("t") < 0 for c in col.values()):
+        raise AssertionError("B_%d m_(%s) has a negative q or t exponent"
+                             % (m, mu.to_string()))
     return col
 
 
-def _raise_coords(m: int, coords: dict, n: int) -> dict:
-    """The m-basis coordinates of B_m sum_mu c_mu m_mu, as {nu: [terms]}.
-
-    Each c_mu is a polynomial in q and t; the columns come from
-    :func:`raising_column`.  The rows are left as lists so a caller can
-    append its own terms before summing.
-    """
-    rows: dict = {}
-    for mu, c in coords.items():
-        for nu, d in raising_column(m, mu, n).items():
-            rows.setdefault(nu, []).append(c * d)
-    return rows
-
-
-def _j_coords(lam: Partition, n: int) -> dict:
-    """The stored m-basis coordinates of J_lam, each certified in Z[q, t]."""
-    return {mu: c.as_poly() for mu, c in macdonald_j(lam, n).expansion.items()}
-
-
-def _difference(n: int, rows: dict, target: dict) -> Frac:
-    """sum_nu (sum of rows[nu] - target[nu]) m_nu over the rows that do not vanish."""
-    for nu, c in target.items():
-        rows.setdefault(nu, []).append(-c)
-    u = universe(n)
-    return Frac(from_monomial_basis(u, sum_rows(u, rows)))
+def _raised(m: int, n: int):
+    """The column map mu -> B_m m_mu, for :func:`combine_columns`."""
+    return lambda mu: raising_column(m, mu, n)
 
 
 def raising_diff(m: int, lam, n: int) -> Frac:
@@ -292,8 +264,10 @@ def raising_diff(m: int, lam, n: int) -> Frac:
         raise ValueError("the first row of lam may not exceed m")
     if lam.length() > n:
         raise ValueError("lam has more than n rows")
-    target = _j_coords(lam.prepend(m), n) if lam.length() < n else {}
-    return _difference(n, _raise_coords(m, _j_coords(lam, n), n), target)
+    target = macdonald_j(lam.prepend(m), n) if lam.length() < n else {}
+    u = universe(n)
+    return Frac(from_monomial_basis(u, combine_columns(u, macdonald_j(lam, n),
+                                                       _raised(m, n), target)))
 
 
 def iterated_build_diff(lam, n: int) -> Frac:
@@ -303,14 +277,17 @@ def iterated_build_diff(lam, n: int) -> Frac:
     {(): 1}, and raised through the certified columns of
     :func:`raising_column`: each partial product is a J whose first row is
     at most the next part, so every column it meets is a polynomial.  The
-    result is compared row by row with the coordinates of J_lam.
+    last raising, by B_{lam_1}, is combined row by row with the coordinates
+    of J_lam.
     """
     lam = Partition(lam)
     u = universe(n)
+    first, *rest = lam.padded(n)
     coords = {Partition(): u.one()}
-    for part in reversed(lam.padded(n)):
-        coords = sum_rows(u, _raise_coords(part, coords, n))
-    return _difference(n, {nu: [c] for nu, c in coords.items()}, _j_coords(lam, n))
+    for part in reversed(rest):
+        coords = combine_columns(u, coords, _raised(part, n), {})
+    return Frac(from_monomial_basis(u, combine_columns(u, coords, _raised(first, n),
+                                                       macdonald_j(lam, n))))
 
 
 @lru_cache(maxsize=None)

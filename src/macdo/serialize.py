@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 
 from .algebra import Frac, MPoly, universe_of_names
-from .macdonald import QDiffOp, SymPoly
+from .macdonald import QDiffOp
 from .partitions import Partition
 
 
@@ -59,22 +59,17 @@ def frac_to_obj(fr: Frac) -> dict:
     return {"num": poly_to_obj(fr.num), "den": poly_to_obj(fr.den)}
 
 
-def sympoly_to_obj(sp: SymPoly, lam: Partition, kind: str) -> dict:
-    """Monomial-basis table for a P or J polynomial.
+def sympoly_to_obj(coords: dict, lam: Partition, kind: str) -> dict:
+    """Monomial-basis table {mu: coefficient} of a P or J polynomial.
 
-    J coefficients are certified polynomials and serialize bare; P
-    coefficients keep their num/den split.
+    J's coordinates (:func:`macdonald_j`) are certified polynomials and
+    serialize bare; P's (``macdonald_p(...).expansion``) keep their num/den
+    split.
     """
-    coeffs = {}
-    for mu in sorted(sp.expansion):
-        c = sp.expansion[mu]
-        key = mu.to_string()
-        if kind == "J":
-            coeffs[key] = poly_to_obj(c.as_poly())
-        else:
-            coeffs[key] = frac_to_obj(c)
-    return {"n": sp.n, "lambda": lam.to_string(), "basis": "monomial",
-            "kind": kind, "coeffs": coeffs}
+    put = poly_to_obj if kind == "J" else frac_to_obj
+    return {"n": next(iter(coords.values())).u.n_x, "lambda": lam.to_string(),
+            "basis": "monomial", "kind": kind,
+            "coeffs": {mu.to_string(): put(coords[mu]) for mu in sorted(coords)}}
 
 
 def op_to_obj(op: QDiffOp, m: int) -> dict:

@@ -25,25 +25,28 @@ from .serialize import diff_text
 
 @dataclass
 class Case:
+    """One named check; ``builds`` is the (m, n) of the largest B_m it
+    builds on n variables, (0, 0) if it builds none."""
     suite: str
     name: str
     params: dict
     run: object = field(repr=False)
+    builds: tuple = (0, 0)
 
 
-def _diff_case(suite, name, params, diff_fn):
+def _diff_case(suite, name, params, diff_fn, builds=(0, 0)):
     def run():
         diff = diff_fn()
         if diff.is_zero():
             return True, None
         return False, diff_text(diff)
-    return Case(suite, name, params, run)
+    return Case(suite, name, params, run, builds)
 
 
-def _bool_case(suite, name, params, check_fn):
+def _bool_case(suite, name, params, check_fn, builds=(0, 0)):
     def run():
         return (True, None) if check_fn() else (False, "check returned false")
-    return Case(suite, name, params, run)
+    return Case(suite, name, params, run, builds)
 
 
 # -- suite builders -----------------------------------------------------------
@@ -66,22 +69,23 @@ def suite_raising(max_m: int | None = None, max_n: int = 3, max_weight: int = 4)
                         "raising", "raise",
                         {"m": m, "lambda": lam.to_string(), "n": n,
                          "branch": "zero" if lam.length() == n else "raise"},
-                        lambda m=m, lam=lam, n=n: rs.raising_diff(m, lam, n)))
+                        lambda m=m, lam=lam, n=n: rs.raising_diff(m, lam, n), (m, n)))
     for n in range(1, max_n + 1):
         for d in range(max_weight + 1):
             for lam in partitions_of(d, max_len=n, max_part=max_m):
                 cases.append(_diff_case(
                     "raising", "iterated_build",
                     {"lambda": lam.to_string(), "n": n},
-                    lambda lam=lam, n=n: rs.iterated_build_diff(lam, n)))
+                    lambda lam=lam, n=n: rs.iterated_build_diff(lam, n),
+                    (max(lam, default=0), n)))
     for n in range(1, max_n + 1):
         for m in range(grid_m + 1):
             cases.append(_bool_case(
                 "raising", "equivariance", {"m": m, "n": n},
-                lambda m=m, n=n: rs.equivariance_check(rs.row_raising_op(m, n))))
+                lambda m=m, n=n: rs.equivariance_check(rs.row_raising_op(m, n)), (m, n)))
             cases.append(_bool_case(
                 "raising", "order_bound", {"m": m, "n": n},
-                lambda m=m, n=n: rs.order_bound_check(rs.row_raising_op(m, n), m)))
+                lambda m=m, n=n: rs.order_bound_check(rs.row_raising_op(m, n), m), (m, n)))
     return cases
 
 
@@ -194,9 +198,9 @@ def suite_keyid(max_m: int = 3, max_n: int = 3) -> list:
         if m > max_m or n > max_n:
             continue
         cases.append(_diff_case("keyid", "key_identity", {"m": m, "n": n},
-                                lambda m=m, n=n: rs.key_identity_diff(m, n)))
+                                lambda m=m, n=n: rs.key_identity_diff(m, n), (m, n)))
         cases.append(_bool_case("keyid", "degree_bound", {"m": m, "n": n},
-                                lambda m=m, n=n: rs.degree_bound_check(m, n)))
+                                lambda m=m, n=n: rs.degree_bound_check(m, n), (m, n)))
     return cases
 
 
@@ -231,12 +235,8 @@ def suite_cauchy(max_n: int = 3, max_weight: int = 4) -> list:
 
 
 def _integrality(lam: Partition, n: int) -> bool:
-    sp = mac.macdonald_j(lam, n)
-    for c in sp.expansion.values():
-        p = c.as_poly()
-        if p.min_exp("q") < 0 or p.min_exp("t") < 0:
-            return False
-    return True
+    return all(c.min_exp("q") >= 0 and c.min_exp("t") >= 0
+               for c in mac.macdonald_j(lam, n).values())
 
 
 def suite_hl(max_m: int = 3, max_n: int = 3, max_weight: int = 3) -> list:

@@ -298,6 +298,28 @@ def test_heap_division_stops_at_a_negative_quotient_exponent():
     assert try_div(den * qu, den) == qu
 
 
+@pytest.mark.parametrize("den", ["1 - q", "1 - q + q^2"], ids=["binomial", "heap"])
+def test_division_refuses_a_quotient_past_the_packed_field(den):
+    # the exact quotient x1^(2^28 - 1) used to come back as t*x1^-1
+    u = universe(1)
+    one, q = u.one(), u.gen("q")
+    f = one - q if den == "1 - q" else one - q + q * q
+    top, bottom = 2 ** 27 - 1, -2 ** 27
+
+    def x(e):
+        return u.mono(1, {"x1": e})
+
+    # a divisor near either end, or a small divisor under a dividend near one
+    for a, b in ((top, bottom), (bottom, top), (1, bottom), (top, -1), (bottom, 1)):
+        with pytest.raises(ValueError, match="overflows"):
+            try_div(x(a) * f, x(b) * f)
+    # quotients at either end of the field still divide
+    for a, b in ((top, 0), (1, 2 - 2 ** 27), (bottom, 0), (-1, top)):
+        assert try_div(x(a) * f, x(b) * f) == x(a - b)
+    assert try_div(x(top) * f, x(top)) == f
+    assert try_div(x(top) * f * (one + q), x(top) * f) == one + q
+
+
 def test_products_reach_both_ends_of_the_packed_field():
     top, bottom, half = 2 ** 27 - 1, -2 ** 27, 2 ** 26
     for var in ("q", "x1"):

@@ -321,11 +321,19 @@ def test_checked_in_golden_corpus_matches(capsys):
      "05f97caf29ad31f835670cfba947ecf659c564c86610cdf0705de43dc7fbf8e2"),
     (("operator", "--m", "2", "--n", "4", "--format", "json"),
      "1bc2cb26ad25229b0262cca3a5dc50f98d78de2a11f2f9300cb221ca84a87157"),
-], ids=["B-m3-n2", "P-31-n3", "B-m2-n3", "B-m4-n2", "B-m3-n3", "B-m2-n4"])
+    (("poly", "J", "--lambda", "3,2", "--n", "4", "--format", "json"),
+     "876f6b733875812fab83b8bd730e3a7969c2109b1a91b04453ab355b27345b21"),
+    (("poly", "J", "--lambda", "2,1,1,1", "--n", "4", "--format", "json"),
+     "57d7c2b9e56b32dc83e5e7f0abe058c8f0f588ae9a4cb3dfcd518dca5c76a71d"),
+    (("poly", "J", "--lambda", "3,1", "--n", "4"),
+     "5280e92a38c57743e800e1f3f34762328c793e22ac97468a5febbe4fa38ea6ec"),
+], ids=["B-m3-n2", "P-31-n3", "B-m2-n3", "B-m4-n2", "B-m3-n3", "B-m2-n4",
+        "J-32-n4", "J-2111-n4", "J-31-n4-text"])
 def test_json_outputs_keep_their_bytes(capsys, argv, digest):
     # B_m stores its coefficients in lowest terms (Frac.lowest), so its bytes
     # depend only on its value; the P solve's fractions are not reduced, so
-    # its bytes also depend on how the solve sums them
+    # its bytes also depend on how the solve sums them; J's coordinates are
+    # polynomials, pinned here beyond the golden corpus's n <= 3
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

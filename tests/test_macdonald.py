@@ -9,7 +9,7 @@ from macdo.algebra import Frac, NotDivisible, cauchy_kernel, frac_sum, universe
 from macdo.macdonald import (QDiffOp, SymPoly, cauchy_diff, d1_eigenvalue,
                              determinantal_agreement_check, dual_lowering,
                              eigen_diff, eigenvalue_u, expand_in_monomial_basis,
-                             integral_form_scalar, is_symmetric_frac,
+                             from_monomial_basis, integral_form_scalar, is_symmetric_frac,
                              lowering_diff, macdonald_d,
                              macdonald_d1, macdonald_d_det, macdonald_j,
                              macdonald_p, monomial_symmetric, operators_agree)
@@ -114,23 +114,23 @@ def test_integral_form_scalars():
 def test_macdonald_j_values():
     u = universe(2)
     one, t = u.one(), u.gen("t")
-    assert macdonald_j(Partition(()), 2).as_mpoly() == one
+    assert macdonald_j(Partition(()), 2) == {Partition(()): one}
     j1 = macdonald_j(Partition((1,)), 2)
-    assert j1.as_mpoly() == (one - t) * (u.x(1) + u.x(2))
+    assert j1 == {Partition((1,)): one - t}
+    assert from_monomial_basis(u, j1) == (one - t) * (u.x(1) + u.x(2))
     j2 = macdonald_j(Partition((2,)), 2)
     p2 = macdonald_p(Partition((2,)), 2)
     c2 = integral_form_scalar(u, Partition((2,)))
-    assert Frac(j2.as_mpoly()).eq(p2.value * c2)
+    assert Frac(from_monomial_basis(u, j2)).eq(p2.value * c2)
 
 
 def test_j_coefficients_are_integral():
     for n in (1, 2, 3):
         for d in range(5):
             for lam in partitions_of(d, max_len=n):
-                sp = macdonald_j(lam, n)
-                for c in sp.expansion.values():
-                    p = c.as_poly()  # raises NotDivisible on failure
-                    assert p.min_exp("q") >= 0 and p.min_exp("t") >= 0
+                # macdonald_j raises NotDivisible unless every coordinate divides
+                for c in macdonald_j(lam, n).values():
+                    assert c.min_exp("q") >= 0 and c.min_exp("t") >= 0
 
 
 def test_eigen_equation_examples():
@@ -173,7 +173,7 @@ def _lifted_p(lam, n):
     lift = sorted(mu for mu in p.expansion if mu != lam)[0]
     coeffs = {mu: c * u.gen("q") if mu == lift else c for mu, c in p.expansion.items()}
     value = frac_sum(u, [c * monomial_symmetric(u, mu) for mu, c in coeffs.items()])
-    return SymPoly(n, coeffs, value)
+    return SymPoly(coeffs, value)
 
 
 @pytest.mark.parametrize("lam,n", [((2, 1), 3), ((3, 1), 4), ((2, 2), 4)],
@@ -199,7 +199,7 @@ def test_eigen_diff_refuses_a_p_whose_denominator_depends_on_x(monkeypatch):
     u = universe(2)
     p = macdonald_p(Partition((1,)), 2)
     f = u.x(1) - u.x(2)
-    carried = SymPoly(2, p.expansion, Frac(p.value.num * f, {f: 1}))
+    carried = SymPoly(p.expansion, Frac(p.value.num * f, {f: 1}))
     assert carried.value.eq(p.value)
     monkeypatch.setattr(mac, "macdonald_p", lambda lam_, n_: carried)
     with pytest.raises(AssertionError, match="x-dependent denominator"):
@@ -223,6 +223,40 @@ def test_d1_diagonal_entries():
     img = d1.apply(monomial_symmetric(u, Partition((2,)))).as_poly()
     exp = expand_in_monomial_basis(img)
     assert exp[Partition((2,))] == d1_eigenvalue(u, Partition((2,)))
+
+
+def _perturbed(op, extra):
+    """op plus the multiplication by ``extra``, added to its shift-free term."""
+    coeffs = dict(op.coeffs)
+    g = (0,) * op.u.n_x
+    coeffs[g] = coeffs.get(g, Frac(op.u.zero())) + Frac(extra)
+    return QDiffOp(op.u, coeffs)
+
+
+@pytest.mark.parametrize("operator", ["D_1", "D(u)"])
+@pytest.mark.parametrize("extra, message", [
+    ("x1/x2 + x2/x1", "outside the dominance order"),  # adds m_(2) to D m_(1,1)
+    ("1", "diagonal entry is not the eigenvalue"),      # adds m_(1,1) itself
+], ids=["dominance", "diagonal"])
+def test_triangular_columns_refuse_a_broken_image(monkeypatch, operator, extra, message):
+    # negative control: the shared column certificate refuses an image of
+    # m_(1,1) that leaves the dominance order or has the wrong diagonal
+    n, mu = 2, Partition((1, 1))
+    if operator == "D_1":
+        u, build, name = universe(n), mac.macdonald_d1, "macdonald_d1"
+    else:
+        u, build, name = universe(n, u=True), mac.macdonald_d, "macdonald_d"
+    term = (u.one() if extra == "1" else
+            u.mono(1, {"x1": 1, "x2": -1}) + u.mono(1, {"x1": -1, "x2": 1}))
+    monkeypatch.setattr(mac, name, lambda uu: _perturbed(build(uu), term))
+    with pytest.raises(AssertionError, match=message):
+        if operator == "D_1":
+            macdonald_p.__wrapped__(mu, n)  # D_(1,1) is its only column
+        else:
+            mac.d_u_column.__wrapped__(mu, n)
+    monkeypatch.undo()  # the operators themselves pass
+    macdonald_p.__wrapped__(mu, n)
+    mac.d_u_column.__wrapped__(mu, n)
 
 
 def test_cauchy_examples():
@@ -254,7 +288,8 @@ def _cancelling_sum_cases():
     for m, n in ((2, 2), (2, 3)):
         for d in range(3):
             for lam in partitions_of(d, max_len=n):
-                yield row_raising_op(m, n), macdonald_j(lam, n).as_mpoly()
+                yield row_raising_op(m, n), from_monomial_basis(universe(n),
+                                                                macdonald_j(lam, n))
     u3 = universe(3)
     for d in range(4):
         for mu in partitions_of(d, max_len=3):
@@ -297,7 +332,7 @@ def _sympy_p(sp, lam, n, lift=None):
     of the denominators; ``lift`` names a mu whose numerator is multiplied
     by q.
     """
-    obj = sympoly_to_obj(macdonald_p(lam, n), lam, "P")
+    obj = sympoly_to_obj(macdonald_p(lam, n).expansion, lam, "P")
     xs = sp.symbols(["x%d" % i for i in range(1, n + 1)])
     coeffs = {}
     for mu, c in obj["coeffs"].items():

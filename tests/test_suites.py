@@ -53,6 +53,22 @@ def test_keyid_pairs_obey_the_limits():
     assert {c.params["m"] for c in build_suite("keyid", max_m=0)} == {0}
 
 
+def test_cases_name_the_operator_they_build():
+    # the B_m a case builds on n variables is case data, which the CLI's
+    # m*n cap reads; the default raising grid's iterated build needs B_4 on
+    # n = 3, the keyid spot cases reach m*n = 6, and the other suites build
+    # no B_m
+    cases = build_suite("all")
+    assert max(c.builds for c in cases if c.suite == "raising") == (4, 3)
+    assert max(c.builds[0] * c.builds[1] for c in cases if c.suite == "keyid") == 6
+    assert {c.builds for c in cases if c.suite not in ("raising", "keyid")} == {(0, 0)}
+    for c in cases:
+        if c.name == "iterated_build":
+            assert c.builds == (int(c.params["lambda"].split(",")[0] or 0), c.params["n"])
+        elif c.suite in ("raising", "keyid"):
+            assert c.builds == (c.params["m"], c.params["n"]), c
+
+
 def test_build_suite_all_concatenates():
     names = {"raising", "qbinom", "chu", "oracles", "keyid", "cauchy", "hl"}
     cases = build_suite("all", max_m=1, max_n=1, max_weight=1)
