@@ -621,7 +621,9 @@ def try_div(num: MPoly, den: MPoly):
     :func:`_div_binomial`; every other divisor, a monomial or a two-term
     divisor such as 2 - 3q included, takes the heap division of Monagan and
     Pearce (CASC 2007).  Both raise ValueError for a quotient with an
-    exponent outside [-2^27, 2^27) (:func:`_check_quotient`).
+    exponent outside [-2^27, 2^27) (:func:`_check_quotient`), and the heap
+    division, which shifts its operands to nonnegative exponents, also for an
+    operand that spans 2^27 or more in one variable.
     """
     _chk_u(num.u, den.u)
     if den.is_zero():
@@ -632,7 +634,12 @@ def try_div(num: MPoly, den: MPoly):
     if len(den.terms) == 2 and den.terms[max(den.terms)] in (1, -1):
         return _div_binomial(num, den)
     # shift both operands so every exponent is nonnegative, divide in N^k,
-    # then shift the quotient back
+    # then shift the quotient back; a shifted exponent must fit its field
+    for p in (num, den):
+        for nm in u.names:
+            if p.max_exp(nm) - p.min_exp(nm) >= _B:
+                raise ValueError("an operand spans 2^%d or more in %s, which overflows "
+                                 "its %d-bit packed field when shifted" % (_W - 1, nm, _W))
     noff = u.pack([num.min_exp(nm) for nm in u.names]) - u.one_key
     doff = u.pack([den.min_exp(nm) for nm in u.names]) - u.one_key
     r = {k - noff: c for k, c in num.terms.items()}

@@ -20,12 +20,11 @@ from .partitions import mi_weight, parse_partition, partitions_of
 from .suites import build_suite, run_cases
 
 DESK_N, DESK_M, DESK_WEIGHT = 4, 4, 5
-# the keyid identity builds B_m on the n x n Cauchy kernel; m*n = 6 (the
-# largest pair of the keyid suite) takes seconds, while (3, 3) takes minutes
-# and gigabytes
-DESK_KEYID_MN = 6
 # building B_m on n variables: m*n = 12 takes 11 s for (4, 3) and 28 s for
-# (3, 4), while (4, 4) did not finish in 15 minutes at 1.0-1.6 GB
+# (3, 4), while (4, 4) did not finish in 15 minutes at 1.0-1.6 GB.  The cap
+# bounds every command that builds B_m: `operator`, `verify` and `identity
+# --name keyid`, whose columns B_m m_lam take keyid (4, 3) about 85 s at
+# 84 MB and (3, 4) about 5 minutes at 169 MB
 DESK_BUILD_MN = 12
 
 
@@ -161,9 +160,8 @@ def cmd_identity(args) -> int:
                      max_weight=max([mi_weight(a) for a in mis] + [parsed.get("k", 0)]),
                      unsafe=args.unsafe_limits)
     else:
+        check_build(parsed["m"], parsed["n"], unsafe=args.unsafe_limits)
         check_limits(m=parsed["m"], n=parsed["n"], unsafe=args.unsafe_limits)
-        if parsed["m"] * parsed["n"] > DESK_KEYID_MN and not args.unsafe_limits:
-            raise ValueError("keyid with m*n > %d needs --unsafe-limits" % DESK_KEYID_MN)
     result = check(parsed)
     ok = result if isinstance(result, bool) else result.is_zero()
     rec = {"identity": name, "params": params, "pass": bool(ok)}
@@ -255,10 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     limits = argparse.ArgumentParser(add_help=False)
     limits.add_argument("--unsafe-limits", action="store_true",
-                        help="allow n > %d, m > %d, weight > %d, B_m with m*n > %d "
-                             "or keyid m*n > %d"
-                             % (DESK_N, DESK_M, DESK_WEIGHT, DESK_BUILD_MN,
-                                DESK_KEYID_MN))
+                        help="allow n > %d, m > %d, weight > %d or B_m with m*n > %d"
+                             % (DESK_N, DESK_M, DESK_WEIGHT, DESK_BUILD_MN))
 
     p = sub.add_parser("poly", parents=[limits],
                        help="print P or J in the monomial basis")

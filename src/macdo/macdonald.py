@@ -44,10 +44,13 @@ class QDiffOp:
 
         The sum cancels shared two-term denominator factors as it merges
         (see :func:`frac_sum`), so the image's bag may be smaller than the
-        union of the coefficients' bags.  Before it merges, the sum orients
-        each binomial pole 1 + c X^v on q and x (c = +-1) so that X^v lies
-        above 1, moving the unit into the numerator; both orientations of a
-        pole, which the coefficients of B_m carry, then cancel as one.
+        union of the coefficients' bags.  The sum also orients each binomial
+        pole 1 + c X^v on q and x (c = +-1) so that X^v lies above 1, but
+        here that changes no factor: the poles x_i - x_j of D_1 and D(u)
+        keep their form, and B_m's coefficients are stored in lowest terms
+        (:meth:`Frac.lowest`), whose pieces are already oriented.  The
+        orientation acts in the B_m build and in the graded q-binomial sums,
+        whose terms carry both orientations of a pole.
         """
         f = as_frac(self.u, f)
         terms = []

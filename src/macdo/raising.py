@@ -8,9 +8,10 @@ these closed forms: the elimination recurrence rebuilds phi level by level,
 and an interpolation evaluation of the dual-lowered Cauchy kernel
 (1/(y1..ym)) D_y(1;t,q) prod (1+x_i y_j) rebuilds b.  Verification works
 on the monomial basis: B_m m_mu is applied once per (m, mu, n) and certified
-as a polynomial column in Z[q,t] by the certificate D_1 and D(u) share, and
-the raising property and the iterated build combine those columns with the
-integral forms' coordinates.
+as a polynomial column in Z[q,t] by the certificate D_1 and D(u) share.
+B_m acts only through those columns: the raising property and the iterated
+build combine them with the integral forms' coordinates, and the kernel
+identity with the kernel's coordinates e_lam(y).
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from math import comb
 
 from .algebra import Frac, MPoly, VarUniverse, cauchy_kernel, frac_sum, universe
 from .macdonald import (QDiffOp, certified_column, combine_columns, cross_term,
-                        dual_lowering, from_monomial_basis, macdonald_j, macdonald_p,
-                        x_transposition_rename)
+                        dual_lowering, expand_in_monomial_basis, from_monomial_basis,
+                        macdonald_j, macdonald_p, x_transposition_rename)
 from .partitions import (Partition, box_below, memo_per_partition, mi_leq,
                          mi_sub, mi_weight, multi_indices_upto, weak_compositions)
 from .qbinomial import double_poch_factors, interp_assignment, qbinom_x
@@ -292,10 +293,20 @@ def iterated_build_diff(lam, n: int) -> Frac:
 
 @lru_cache(maxsize=None)
 def raising_on_kernel(m: int, n: int) -> Frac:
-    """B_m acting in x on the Cauchy kernel prod (1+x_i y_j); memoized per (m, n)."""
+    """B_m acting in x on the Cauchy kernel prod (1+x_i y_j); memoized per (m, n).
+
+    By the dual Cauchy identity the kernel is sum_lam m_lam(x) e_lam(y) over
+    lam_1 <= m (Macdonald, ch. I); :func:`expand_in_monomial_basis` reads
+    these coordinates off and certifies them.  The image combines them with
+    the certified columns of :func:`raising_column`, so it is a polynomial,
+    returned as a fraction with an empty bag.
+    """
     uxy = universe(n, m)
-    b = QDiffOp(uxy, {g: c.convert(uxy) for g, c in row_raising_op(m, n).coeffs.items()})
-    return b.apply(cauchy_kernel(uxy))
+
+    def column(lam):
+        return {nu: c.convert(uxy) for nu, c in raising_column(m, lam, n).items()}
+    coords = expand_in_monomial_basis(cauchy_kernel(uxy))
+    return Frac(from_monomial_basis(uxy, combine_columns(uxy, coords, column, {})))
 
 
 @lru_cache(maxsize=None)
@@ -310,17 +321,13 @@ def key_identity_diff(m: int, n: int) -> Frac:
 
 
 def degree_bound_check(m: int, n: int) -> bool:
-    """Each y_j degree of the cleared B_x prod(1+x_i y_j) is at most n-1.
+    """Each y_j degree of B_x prod(1+x_i y_j) is at most n-1.
 
-    The denominator stays y-free, so the bound is read off the numerator.
-    Vacuous at m = 0 where no y variables occur.
+    The image is a polynomial (:func:`raising_on_kernel`), so the bound is
+    read off it.  Vacuous at m = 0 where no y variables occur.
     """
-    phi = raising_on_kernel(m, n)
-    for f, _ in phi.bag:
-        for j in range(1, m + 1):
-            if f.max_exp("y%d" % j) or f.min_exp("y%d" % j):
-                raise AssertionError("kernel image denominator involves y")
-    return all(phi.num.max_exp("y%d" % j) <= n - 1 for j in range(1, m + 1))
+    img = raising_on_kernel(m, n).as_poly()
+    return all(img.max_exp("y%d" % j) <= n - 1 for j in range(1, m + 1))
 
 
 def equivariance_check(op: QDiffOp) -> bool:

@@ -298,17 +298,27 @@ def test_heap_division_stops_at_a_negative_quotient_exponent():
     assert try_div(den * qu, den) == qu
 
 
-@pytest.mark.parametrize("den", ["1 - q", "1 - q + q^2"], ids=["binomial", "heap"])
-def test_division_refuses_a_quotient_past_the_packed_field(den):
+@pytest.mark.parametrize("path", ["binomial", "heap", "heap-wide-dividend"])
+def test_division_refuses_a_quotient_past_the_packed_field(path):
     # the exact quotient x1^(2^28 - 1) used to come back as t*x1^-1
     u = universe(1)
     one, q = u.one(), u.gen("q")
-    f = one - q if den == "1 - q" else one - q + q * q
+    f = one - q if path == "binomial" else one - q + q * q
     top, bottom = 2 ** 27 - 1, -2 ** 27
 
     def x(e):
         return u.mono(1, {"x1": e})
 
+    if path == "heap-wide-dividend":
+        # a spans 2^28 - 2 in x1; the heap division shifts it to nonnegative
+        # exponents, which used to overflow the field and report the exact
+        # quotient a as "not divisible"; the chain walk needs no shift
+        a = x(top) + x(1 - 2 ** 27)
+        assert try_div(a * (one - q), one - q) == a
+        for num, den in ((a * f, f), (a + q, a + q)):
+            with pytest.raises(ValueError, match="spans 2\\^27 or more in x1"):
+                try_div(num, den)
+        return
     # a divisor near either end, or a small divisor under a dividend near one
     for a, b in ((top, bottom), (bottom, top), (1, bottom), (top, -1), (bottom, 1)):
         with pytest.raises(ValueError, match="overflows"):

@@ -175,25 +175,29 @@ def test_identity_obeys_desk_limits(capsys):
 
 
 def test_identity_keyid_caps_m_times_n(capsys, monkeypatch):
-    # (3, 3) is inside the n and m caps but runs for minutes; every pair of
-    # the keyid suite has m*n <= 6
+    # keyid combines the certified columns of B_m, so the build cap m*n <= 12
+    # bounds its work as it bounds `operator` and `verify`
     for m, n in ((2, 3), (3, 2)):
         code, out, _ = run_cli(capsys, "identity", "--name", "keyid",
                                "--m", str(m), "--n", str(n))
         assert code == 0 and json.loads(out)["pass"] is True
 
-    def refuse(m, n):
-        raise AssertionError("keyid (%d, %d) ran" % (m, n))
-
-    monkeypatch.setattr(rs, "key_identity_diff", refuse)
-    for m, n in ((3, 3), (4, 2), (2, 4), (4, 4)):
+    ran = []
+    monkeypatch.setattr(rs, "key_identity_diff", lambda m, n: ran.append((m, n)) or True)
+    admitted = [(3, 3), (4, 2), (2, 4), (4, 3), (3, 4)]
+    for m, n in admitted:
+        code, out, _ = run_cli(capsys, "identity", "--name", "keyid",
+                               "--m", str(m), "--n", str(n))
+        assert code == 0 and json.loads(out)["pass"] is True, (m, n)
+    assert ran == admitted
+    for m, n in ((4, 4), (5, 3)):
         code, out, err = run_cli(capsys, "identity", "--name", "keyid",
                                  "--m", str(m), "--n", str(n))
-        assert code == 2 and out == "" and "--unsafe-limits" in err, (m, n)
-    monkeypatch.setattr(rs, "key_identity_diff", lambda m, n: True)
-    code, out, _ = run_cli(capsys, "identity", "--name", "keyid", "--m", "3", "--n", "3",
+        assert code == 2 and out == "" and "m*n > 12 needs --unsafe-limits" in err, (m, n)
+    assert ran == admitted
+    code, out, _ = run_cli(capsys, "identity", "--name", "keyid", "--m", "4", "--n", "4",
                            "--unsafe-limits")
-    assert code == 0 and json.loads(out)["pass"] is True
+    assert code == 0 and json.loads(out)["pass"] is True and ran[-1] == (4, 4)
 
 
 def test_identity_refuses_negative_inputs(capsys):

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from macdo.algebra import Frac, universe
+from macdo.algebra import Frac, NotDivisible, cauchy_kernel, universe
 from macdo.macdonald import (QDiffOp, from_monomial_basis, macdonald_j,
                              x_transposition_rename)
 from macdo.partitions import Partition, box_below, weak_compositions
@@ -20,6 +20,7 @@ from macdo.raising import (block_coeff, block_coeff_interp, degree_bound_check,
                            raising_block_recurrence, raising_column, raising_diff,
                            raising_on_kernel, recurrence_weight, row_raising_op)
 from macdo.serialize import frac_to_obj, op_to_obj, poly_to_obj
+from macdo.suites import KEYID_PAIRS
 from sympy_util import sympy_poly
 
 U1 = universe(1)
@@ -242,6 +243,53 @@ def test_kernel_images_are_built_once_per_pair():
     assert degree_bound_check(1, 2)
     assert raising_on_kernel.cache_info().misses == 1
     assert lowered_kernel.cache_info().misses == 1
+
+
+def _direct_on_kernel(m, n):
+    """Oracle: B_m built in the (x, y) universe and applied to the whole kernel."""
+    uxy = universe(n, m)
+    b = QDiffOp(uxy, {g: c.convert(uxy) for g, c in row_raising_op(m, n).coeffs.items()})
+    return b.apply(cauchy_kernel(uxy))
+
+
+@pytest.mark.parametrize("m, n", KEYID_PAIRS)
+def test_kernel_image_through_columns_is_the_direct_apply(m, n):
+    img = raising_on_kernel(m, n)
+    assert not img.bag
+    assert img.eq(_direct_on_kernel(m, n))
+
+
+def _passes_key_identity(m, n) -> bool:
+    try:
+        return key_identity_diff(m, n).is_zero()
+    except (AssertionError, NotDivisible):
+        return False  # a column certificate refused the image
+
+
+@pytest.fixture
+def fresh_kernel_caches():
+    for fn in (raising_column, raising_on_kernel):
+        fn.cache_clear()
+    yield
+    for fn in (raising_column, raising_on_kernel):
+        fn.cache_clear()
+
+
+@pytest.mark.parametrize("m, n", [mn for mn in KEYID_PAIRS if mn[0]])
+def test_a_lifted_raising_coefficient_fails_the_key_identity(monkeypatch,
+                                                            fresh_kernel_caches, m, n):
+    # negative control: B_m with the numerator of its first or its last
+    # coefficient times q must not pass through the columns
+    op = row_raising_op(m, n)
+    for gamma in (op.keys_canonical()[0], op.keys_canonical()[-1]):
+        lifted = QDiffOp(op.u, {g: Frac(c.num.mono_mul(1, {"q": 1}), c.bag) if g == gamma
+                                else c for g, c in op.coeffs.items()})
+        monkeypatch.setattr("macdo.raising.row_raising_op", lambda *mn: lifted)
+        assert not _passes_key_identity(m, n), gamma
+        raising_column.cache_clear()
+        raising_on_kernel.cache_clear()
+    monkeypatch.undo()
+    assert _passes_key_identity(m, n)
 
 
 ORACLE_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2))
