@@ -91,11 +91,8 @@ def cmd_poly(args) -> int:
     lam = parse_partition(args.lam)
     check_limits(n=args.n, max_weight=lam.weight(), unsafe=args.unsafe_limits)
     if lam.length() > args.n:
-        print("error: partition %r needs more than %d variables" % (lam, args.n),
-              file=sys.stderr)
-        return 2
-    coords = (mac.macdonald_j(lam, args.n) if args.kind == "J"
-              else mac.macdonald_p(lam, args.n).expansion)
+        return _fail("partition %r needs more than %d variables" % (lam, args.n))
+    coords = (mac.macdonald_j if args.kind == "J" else mac.macdonald_p)(lam, args.n)
     if args.format == "json":
         _write(ser.dumps(ser.sympoly_to_obj(coords, lam, args.kind)))
         return 0
@@ -137,16 +134,14 @@ _MULTI_INDEX_OPTIONS = ("alpha", "beta", "gamma")
 def cmd_identity(args) -> int:
     name = args.name
     if name not in _IDENTITIES:
-        print("error: unknown identity %r (choose from %s)"
-              % (name, ", ".join(sorted(_IDENTITIES))), file=sys.stderr)
-        return 2
+        return _fail("unknown identity %r (choose from %s)"
+                     % (name, ", ".join(sorted(_IDENTITIES))))
     need, check = _IDENTITIES[name]
     params = {}
     for p in need:
         v = getattr(args, p)
         if v is None:
-            print("error: identity %s needs --%s" % (name, p), file=sys.stderr)
-            return 2
+            return _fail("identity %s needs --%s" % (name, p))
         params[p] = v
     parsed = {p: _parse_mi(v) if p in _MULTI_INDEX_OPTIONS else v
               for p, v in params.items()}
@@ -178,19 +173,16 @@ def cmd_verify(args) -> int:
         cases = build_suite(args.suite, max_n=args.n, max_m=args.m,
                             max_weight=args.max_weight)
     except KeyError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        return _fail(exc)
     if not cases:
-        print("error: no %s cases within these limits" % args.suite, file=sys.stderr)
-        return 2
+        return _fail("no %s cases within these limits" % args.suite)
     check_limits(m=max(c.builds[0] for c in cases), unsafe=args.unsafe_limits)
     m, n = max((c.builds for c in cases), key=lambda mn: mn[0] * mn[1])
     check_build(m, n, unsafe=args.unsafe_limits)
     try:
         stream = _out_stream(args.out)
     except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        return _fail(exc)
     try:
         reports, ok = run_cases(cases, shuffle_seed=args.seed)
         _write("".join(json.dumps({k: v for k, v in rec.items() if k != "ms"},
@@ -199,7 +191,7 @@ def cmd_verify(args) -> int:
         if stream is not sys.stdout:
             stream.close()
     passed = sum(r["pass"] for r in reports)
-    print("%d/%d cases passed" % (passed, len(reports)), file=sys.stderr)
+    _note("%d/%d cases passed" % (passed, len(reports)))
     return 0 if ok else 1
 
 
@@ -227,8 +219,7 @@ def cmd_golden(args) -> int:
                 with open(os.path.join(path, name), "w", encoding="utf-8") as fh:
                     fh.write(gen())
         except OSError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
+            return _fail(exc)
         return 0
     bad = 0
     for name, gen in _golden_items():
@@ -237,10 +228,9 @@ def cmd_golden(args) -> int:
             with open(fp, "r", encoding="utf-8") as fh:
                 on_disk = fh.read()
         except OSError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
+            return _fail(exc)
         if on_disk != gen():
-            print("golden mismatch: %s" % name, file=sys.stderr)
+            _note("golden mismatch: %s" % name)
             bad += 1
     return 1 if bad else 0
 
@@ -303,6 +293,29 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _to_devnull(stream) -> None:
+    """Point the process's real stdout or stderr, whose reader has gone, at
+    devnull, so the flush at exit does not fail again."""
+    if stream in (sys.__stdout__, sys.__stderr__):
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
+def _note(text: str) -> None:
+    """Print a line to stderr; if its reader has gone, exit 2 (I/O trouble)
+    as argparse exits on a usage error."""
+    try:
+        print(text, file=sys.stderr)
+    except BrokenPipeError:
+        _to_devnull(sys.stderr)
+        raise SystemExit(2) from None
+
+
+def _fail(message) -> int:
+    """Print ``error: message`` to stderr and return 2, usage or I/O trouble."""
+    _note("error: %s" % message)
+    return 2
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -310,18 +323,14 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         return code
     except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        return _fail(exc)
     except BrokenPipeError:
-        # the reader closed stdout early (`| head`, say); point the process's
-        # stdout at devnull, so the flush at exit does not fail again
-        if sys.stdout is sys.__stdout__:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: stdout closed before the output was written", file=sys.stderr)
-        return 2
+        # every stderr line goes through _note, so stdout is the stream whose
+        # reader has gone (`| head`, say)
+        _to_devnull(sys.stdout)
+        return _fail("stdout closed before the output was written")
     except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        return _fail(exc)
 
 
 if __name__ == "__main__":

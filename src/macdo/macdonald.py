@@ -7,11 +7,12 @@ independent construction used as a cross-check.  The operator D_y(1;t,q) of
 the dual side is not built separately: by the duality q <-> t, x <-> y
 (Macdonald, Symmetric Functions and Hall Polynomials, ch. VI) it is
 D(1;q,t) on the renamed variables, which is how :func:`dual_lowering` and
-the P_lam(y;t,q) of the Cauchy checks are obtained.  P polynomials come out
-of a dominance-triangular solve against the one-subset operator D_1, and the
-integral forms J are their m-basis coordinates, certified in Z[q,t] by exact
-division.  One certificate (:func:`certified_column`) vouches for every
-m-basis column of an operator: D_1 and D(u) here, B_m in ``raising``.
+the P_lam(y;t,q) of the Cauchy checks are obtained.  P polynomials are their
+m-basis coordinates, from a dominance-triangular solve against the
+one-subset operator D_1; the integral forms J are those times c_lam,
+certified in Z[q,t] by exact division.  One certificate
+(:func:`certified_column`) vouches for every m-basis column of an operator:
+D_1 and D(u) here, B_m in ``raising``.
 """
 
 from __future__ import annotations
@@ -228,16 +229,6 @@ def is_symmetric_frac(v: Frac) -> bool:
     return True
 
 
-class SymPoly:
-    """A symmetric polynomial carried both as a value and in the m basis."""
-
-    __slots__ = ("expansion", "value")
-
-    def __init__(self, expansion: dict, value: Frac):
-        self.expansion = expansion
-        self.value = value
-
-
 def d1_eigenvalue(u: VarUniverse, mu: Partition) -> MPoly:
     """sum_i q^{mu_i} t^{n-i}, n the number of x variables of the universe."""
     n = u.n_x
@@ -278,12 +269,12 @@ def _eigen_column(op: QDiffOp, name: str, mu: Partition, eigenvalue: MPoly) -> d
 
 
 @memo_per_partition
-def macdonald_p(lam: Partition, n: int) -> SymPoly:
-    """Monic Macdonald polynomial P_lam in n variables.
+def macdonald_p(lam: Partition, n: int) -> dict:
+    """Monic Macdonald polynomial P_lam in n variables as its m-basis coordinates.
 
     Dominance-triangular solve of the D_1 eigenproblem in the monomial
-    basis; coefficients are fractions in (q,t).  Memoized per (lam, n);
-    the cached object is immutable.
+    basis: returns {mu: fraction in (q,t)}.  Memoized per (lam, n); the
+    cached dict is never mutated.
     """
     if lam.length() > n:
         raise ValueError("P_%r needs at least %d variables" % (lam, lam.length()))
@@ -304,8 +295,13 @@ def macdonald_p(lam: Partition, n: int) -> SymPoly:
         c = Frac(s.num, bag).shrink()
         if not c.is_zero():
             coeffs[nu] = c
-    value = frac_sum(u, [c * monomial_symmetric(u, mu) for mu, c in coeffs.items()])
-    return SymPoly(coeffs, value)
+    return coeffs
+
+
+def _p_in_x(lam: Partition, n: int) -> Frac:
+    """P_lam multiplied out in the x variables of universe(n)."""
+    u = universe(n)
+    return frac_sum(u, [c * monomial_symmetric(u, mu) for mu, c in macdonald_p(lam, n).items()])
 
 
 def integral_form_scalar(u: VarUniverse, lam: Partition) -> MPoly:
@@ -324,7 +320,7 @@ def macdonald_j(lam: Partition, n: int) -> dict:
     dict is never mutated.
     """
     c_lam = integral_form_scalar(universe(n), lam)
-    return {mu: (c * c_lam).as_poly() for mu, c in macdonald_p(lam, n).expansion.items()}
+    return {mu: (c * c_lam).as_poly() for mu, c in macdonald_p(lam, n).items()}
 
 
 # -- identity checks -----------------------------------------------------------
@@ -358,26 +354,20 @@ def combine_columns(u: VarUniverse, coords: dict, column, minus: dict) -> dict:
 
 
 def eigen_diff(lam: Partition, n: int) -> Frac:
-    """Difference D(u) P_lam - e_lam(u) P_lam; zero iff the eigen equation holds.
+    """Difference D(u) J_lam - e_lam(u) J_lam, which is c_lam != 0 times
+    D(u) P_lam - e_lam(u) P_lam; zero iff the eigen equation holds.
 
-    Computed by linearity on the stored value P_lam = N / prod(bag), whose
-    bag is free of x: N = sum_mu c_mu m_mu is read off the numerator, and
-    the difference is sum_nu r_nu m_nu / prod(bag) with
+    Computed by linearity on J_lam's certified m-basis coordinates c_mu, as
+    the raising property is: the polynomial sum_nu r_nu m_nu with
     r_nu = sum_mu c_mu D_{nu,mu} - e_lam(u) c_nu, the D_{nu,mu} from the
-    memoized columns :func:`d_u_column`.  Each r_nu is a polynomial in q, t
-    and u; only the rows that do not vanish are multiplied out in x.
+    memoized columns :func:`d_u_column`, over the rows that do not vanish.
     """
     lam = Partition(lam)
     uu = universe(n, u=True)
-    p = macdonald_p(lam, n).value.convert(uu)
-    xs = ["x%d" % i for i in range(1, n + 1)]
-    if any(f.max_exp(x) or f.min_exp(x) for f, _ in p.bag for x in xs):
-        raise AssertionError("P_(%s) has an x-dependent denominator" % lam.to_string())
-    coords = expand_in_monomial_basis(p.num)
+    coords = {mu: c.convert(uu) for mu, c in macdonald_j(lam, n).items()}
     e_lam = eigenvalue_u(uu, lam)
-    rows = combine_columns(uu, coords, lambda mu: d_u_column(mu, n),
-                           {nu: e_lam * c for nu, c in coords.items()})
-    return Frac(from_monomial_basis(uu, rows), p.bag)
+    return Frac(from_monomial_basis(uu, combine_columns(
+        uu, coords, lambda mu: d_u_column(mu, n), {nu: e_lam * c for nu, c in coords.items()})))
 
 
 def determinantal_agreement_check(n: int) -> bool:
@@ -395,7 +385,7 @@ def _duality(n_x: int, n_y: int) -> dict:
 
 def _p_on_y_side(lam: Partition, m: int, target: VarUniverse) -> Frac:
     """P_lam(y; t, q): computed in x variables, then q<->t and x->y."""
-    return macdonald_p(lam, m).value.convert(target, _duality(m, 0))
+    return _p_in_x(lam, m).convert(target, _duality(m, 0))
 
 
 def cauchy_diff(n: int, m: int) -> Frac:
@@ -408,7 +398,7 @@ def cauchy_diff(n: int, m: int) -> Frac:
     lhs = cauchy_kernel(u)
     terms = []
     for lam in partitions_in_box(n, m):
-        px = macdonald_p(lam, n).value.convert(u)
+        px = _p_in_x(lam, n).convert(u)
         py = _p_on_y_side(lam.conjugate(), m, u)
         terms.append(px * py)
     return frac_sum(u, terms) - lhs

@@ -374,8 +374,9 @@ def limit_q0(fr: Frac) -> Frac:
 
 @memo_per_partition
 def hall_littlewood_p(lam, n: int) -> MPoly:
-    """P_lam(x; 0, t): the q -> 0 specialization, certified in Z[t]; memoized."""
-    return limit_q0(macdonald_p(lam, n).value).as_poly()
+    """P_lam(x; 0, t) from P's m-coordinates at q -> 0, each certified in Z[t]; memoized."""
+    return from_monomial_basis(universe(n), {mu: limit_q0(c).as_poly()
+                                             for mu, c in macdonald_p(lam, n).items()})
 
 
 def hall_littlewood_apply(m: int, f: MPoly) -> Frac:

@@ -63,8 +63,7 @@ def sympoly_to_obj(coords: dict, lam: Partition, kind: str) -> dict:
     """Monomial-basis table {mu: coefficient} of a P or J polynomial.
 
     J's coordinates (:func:`macdonald_j`) are certified polynomials and
-    serialize bare; P's (``macdonald_p(...).expansion``) keep their num/den
-    split.
+    serialize bare; P's (:func:`macdonald_p`) keep their num/den split.
     """
     put = poly_to_obj if kind == "J" else frac_to_obj
     return {"n": next(iter(coords.values())).u.n_x, "lambda": lam.to_string(),

@@ -4,10 +4,12 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 
 import pytest
 
+import macdo
 import macdo.raising as rs
 from macdo.cli import main
 from macdo.serialize import dumps, op_to_obj, poly_from_obj, poly_to_obj
@@ -265,6 +267,28 @@ def test_verify_out_file(tmp_path, capsys):
     assert lines and all(json.loads(ln)["pass"] for ln in lines)
 
 
+@pytest.mark.parametrize("suite, lines", [("keyid", 16), ("bogus", 0)],
+                         ids=["keyid", "unknown-suite"])
+def test_a_closed_stderr_is_io_trouble(tmp_path, suite, lines):
+    # a child whose stderr is a pipe with no reader: the summary line (or
+    # the error line) cannot be written, which is I/O trouble, exit 2, not 1
+    # (a failed identity); the report itself is complete
+    out_path = tmp_path / "report.jsonl"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(macdo.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "macdo.cli", "verify", "--suite", suite,
+                               "--out", str(out_path)], stderr=w, env=env)
+    finally:
+        os.close(w)
+    assert proc.returncode == 2
+    got = out_path.read_text().splitlines() if out_path.exists() else []
+    assert len(got) == lines and all(json.loads(ln)["pass"] is True for ln in got)
+
+
 def test_verify_out_into_a_missing_directory_runs_no_case(monkeypatch, tmp_path, capsys):
     from macdo import cli as cli_mod
 
@@ -331,8 +355,12 @@ def test_checked_in_golden_corpus_matches(capsys):
      "57d7c2b9e56b32dc83e5e7f0abe058c8f0f588ae9a4cb3dfcd518dca5c76a71d"),
     (("poly", "J", "--lambda", "3,1", "--n", "4"),
      "5280e92a38c57743e800e1f3f34762328c793e22ac97468a5febbe4fa38ea6ec"),
+    (("poly", "P", "--lambda", "3,1", "--n", "4", "--format", "json"),
+     "603c9e4017d082c4d3b5c0c76f3c001c728a958c476baab2025115e00ea56aa4"),
+    (("poly", "P", "--lambda", "2,1,1", "--n", "3"),
+     "9a60f2819f766ca170312289f5a1245a40bb2a75243c5fc66d26fb2ca380e2ff"),
 ], ids=["B-m3-n2", "P-31-n3", "B-m2-n3", "B-m4-n2", "B-m3-n3", "B-m2-n4",
-        "J-32-n4", "J-2111-n4", "J-31-n4-text"])
+        "J-32-n4", "J-2111-n4", "J-31-n4-text", "P-31-n4", "P-211-n3-text"])
 def test_json_outputs_keep_their_bytes(capsys, argv, digest):
     # B_m stores its coefficients in lowest terms (Frac.lowest), so its bytes
     # depend only on its value; the P solve's fractions are not reduced, so

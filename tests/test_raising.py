@@ -5,10 +5,10 @@ from math import comb
 
 import pytest
 
-from macdo.algebra import Frac, NotDivisible, cauchy_kernel, universe
-from macdo.macdonald import (QDiffOp, from_monomial_basis, macdonald_j,
-                             x_transposition_rename)
-from macdo.partitions import Partition, box_below, weak_compositions
+from macdo.algebra import Frac, NotDivisible, cauchy_kernel, frac_sum, universe
+from macdo.macdonald import (QDiffOp, from_monomial_basis, macdonald_j, macdonald_p,
+                             monomial_symmetric, x_transposition_rename)
+from macdo.partitions import Partition, box_below, partitions_of, weak_compositions
 from macdo.qbinomial import qbinom_x
 from macdo.raising import (block_coeff, block_coeff_interp, degree_bound_check,
                            equivariance_check, hall_littlewood_apply,
@@ -492,6 +492,21 @@ def test_hall_littlewood_p_values():
     # P_(2)(x; 0, t) = m_2 + (1 - t) m_11
     x1, x2 = u.x(1), u.x(2)
     assert p2 == x1 * x1 + x2 * x2 + (one - t) * x1 * x2
+
+
+def test_hall_littlewood_p_is_the_limit_of_the_whole_x_form():
+    # hall_littlewood_p takes each m-basis coordinate of P to q = 0; the
+    # oracle multiplies P out in x first and takes the limit once
+    cases = 0
+    for n in (1, 2, 3):
+        u = universe(n)
+        for d in range(5):
+            for lam in partitions_of(d, max_len=n):
+                whole = frac_sum(u, [c * monomial_symmetric(u, mu)
+                                     for mu, c in macdonald_p(lam, n).items()])
+                assert hall_littlewood_p(lam, n) == limit_q0(whole).as_poly(), (lam, n)
+                cases += 1
+    assert cases == 25
 
 
 def test_hall_littlewood_apply_basic():
