@@ -28,8 +28,8 @@ Equality is decided by cross-multiplication, and "this fraction is actually
 a polynomial" is certified by exact trial division: one loop
 (``_divide_out``) divides bag factors out of a numerator for
 ``Frac.shrink``, ``Frac.as_poly``, ``Frac.lowest`` and the cancelling merge.
-``Frac.lowest`` reduces a fraction whose bag holds only +-1 binomials on q
-and x, or the pieces it makes of them: each splits into cyclotomic pieces
+``Frac.lowest`` reduces a fraction whose bag holds only +-1 binomials on q,
+t and x, or the pieces it makes of them: each splits into cyclotomic pieces
 Phi_d(X^w) of one fixed form, which are irreducible, so trial division alone
 reaches lowest terms, and two fractions of equal value come out field for
 field the same.  No GCD, no general factorization, no floating point.
@@ -938,15 +938,16 @@ class Frac:
         """The value in lowest terms, over a bag of canonical irreducible pieces.
 
         Every bag factor must be a two-term binomial with coefficients +-1
-        and exponents on q and x only, or a piece :func:`_cyclotomic` of
-        three or more terms in either orientation (so a fraction in lowest
-        terms, or one with x permuted, may go through again); any other
-        raises ValueError.  Each is a unit times pieces (:func:`_pieces`);
-        the units move into the numerator through ``mono_mul``, and the
-        numerator is divided by each piece until a division fails.  The
-        pieces are irreducible and pairwise non-associate, so what stays in
-        the bag is prime to the numerator, with no GCD: two fractions of
-        equal value come out with the same numerator and the same bag.
+        and exponents on q, t and x only (1 - q^c x_i/x_j, 1 - q^a t^b), or a
+        piece :func:`_cyclotomic` of three or more terms in either
+        orientation (so a fraction in lowest terms, or one with x permuted,
+        may go through again); any other raises ValueError.  Each is a unit
+        times pieces (:func:`_pieces`); the units move into the numerator
+        through ``mono_mul``, and the numerator is divided by each piece
+        until a division fails.  The pieces are irreducible and pairwise
+        non-associate, so what stays in the bag is prime to the numerator,
+        with no GCD: two fractions of equal value come out field for field
+        the same.
         """
         if self.num.is_zero():
             return Frac(self.num)
@@ -1013,9 +1014,10 @@ def _totient(d: int) -> int:
 
 def _pieces(u: VarUniverse, f: MPoly):
     """(c, b, pieces) with f = c X^b prod(pieces), for f = c1 X^a + c X^b with
-    c1, c = +-1, exponents on q and x only and X^a above X^b, or for f a
+    c1, c = +-1, exponents on q, t and x only and X^a above X^b, or for f a
     piece of three or more terms in either orientation; ValueError for any
-    other f.
+    other f.  A step X^w with a negative t exponent (t - q, step q/t), or in
+    :meth:`Frac.lowest` a unit X^b with t in it, raises in the checked constructors.
 
     With X^a = X^b Z^g, Z = X^w, w primitive and its first nonzero entry
     positive: 1 - Z^g is the product of the :func:`_cyclotomic` pieces for
@@ -1028,8 +1030,8 @@ def _pieces(u: VarUniverse, f: MPoly):
         raise ValueError("lowest terms need +-1 binomial factors, not %s" % f.text())
     hi, lo = max(tm), min(tm)
     a, b = u.unpack(hi), u.unpack(lo)
-    if any((ea or eb) and not lau for ea, eb, lau in zip(a, b, u._laurent)):
-        raise ValueError("lowest terms need factors on q and x only, not %s" % f.text())
+    if any((ea or eb) and nm[0] not in "qtx" for ea, eb, nm in zip(a, b, u.names)):
+        raise ValueError("lowest terms need factors on q, t and x only, not %s" % f.text())
     v = [ea - eb for ea, eb in zip(a, b)]
     g = math.gcd(*v)
     w = tuple(e // g for e in v)
@@ -1144,16 +1146,16 @@ def frac_sum(u: VarUniverse, terms, *, cancel: bool = False) -> Frac:
     union bag.  The value is unchanged; numerators stay small because shared
     poles cancel as the sum proceeds instead of all at the end.  Only
     two-term factors are tried: they divide in linear time
-    (:func:`_div_binomial`), while trial division by multi-term factors (the
-    eigenvalue gaps of the P solve) costs far more than it saves.
+    (:func:`_div_binomial`), while trial division by multi-term factors
+    costs far more than it saves.
 
     :meth:`macdonald.QDiffOp.apply` and the B_m build cancel, and the
     reason is speed; the B_m build stores the sum in lowest terms
     (:meth:`Frac.lowest`), which are the same whichever path summed it.
     The terms of the q-binomial and b_alpha sums already arrive with their
     shared factors cancelled (:meth:`Frac.from_factors`); cancelling in the
-    P solve and the other sums as well gained nothing measurable on top of
-    that, so they keep the plain merge.
+    other sums as well gained nothing measurable on top of that, so they
+    keep the plain merge.
     """
     items = []
     for tm in terms:

@@ -7,10 +7,10 @@ independent construction used as a cross-check.  The operator D_y(1;t,q) of
 the dual side is not built separately: by the duality q <-> t, x <-> y
 (Macdonald, Symmetric Functions and Hall Polynomials, ch. VI) it is
 D(1;q,t) on the renamed variables, which is how :func:`dual_lowering` and
-the P_lam(y;t,q) of the Cauchy checks are obtained.  P polynomials are their
-m-basis coordinates, from a dominance-triangular solve against the
-one-subset operator D_1; the integral forms J are those times c_lam,
-certified in Z[q,t] by exact division.  One certificate
+the P_lam(y;t,q) of the Cauchy checks are obtained.  The integral forms J
+are their m-basis coordinates in Z[q,t], from a fraction-free
+dominance-triangular solve against the one-subset operator D_1, each
+coordinate one exact division; P is J / c_lam in lowest terms.  One certificate
 (:func:`certified_column`) vouches for every m-basis column of an operator:
 D_1 and D(u) here, B_m in ``raising``.
 """
@@ -268,59 +268,57 @@ def _eigen_column(op: QDiffOp, name: str, mu: Partition, eigenvalue: MPoly) -> d
     return col
 
 
-@memo_per_partition
-def macdonald_p(lam: Partition, n: int) -> dict:
-    """Monic Macdonald polynomial P_lam in n variables as its m-basis coordinates.
+def _c_factors(u: VarUniverse, lam: Partition) -> list:
+    """The factors 1 - q^arm t^(leg+1) of c_lam, one per cell of lam."""
+    return [u.one() - u.mono(1, {"q": a, "t": l + 1}) for a, l in map(lam.arm_leg, lam.cells())]
 
-    Dominance-triangular solve of the D_1 eigenproblem in the monomial
-    basis: returns {mu: fraction in (q,t)}.  Memoized per (lam, n); the
-    cached dict is never mutated.
+
+def integral_form_scalar(u: VarUniverse, lam: Partition) -> MPoly:
+    """c_lam = prod over cells of (1 - q^arm t^(leg+1))."""
+    return mp_prod(u, _c_factors(u, lam))
+
+
+@memo_per_partition
+def macdonald_j(lam: Partition, n: int) -> dict:
+    """Integral form J_lam = c_lam * P_lam as its m-basis coordinates {mu: polynomial}.
+
+    Fraction-free dominance-triangular solve of the D_1 eigenproblem: J_lam[lam] = c_lam,
+    and each nu below lam has (e_lam - e_nu) J_nu = sum_mu J_mu D_{nu,mu} over the mu
+    above it, so J_nu is one exact division by that gap (``as_poly`` raises NotDivisible
+    otherwise, an upstream bug).  Memoized per (lam, n); the cached dict is never mutated.
     """
     if lam.length() > n:
-        raise ValueError("P_%r needs at least %d variables" % (lam, lam.length()))
+        raise ValueError("J_%r needs at least %d variables" % (lam, lam.length()))
     u = universe(n)
     d1 = macdonald_d1(u)
     down = dominance_downset(lam, n)
     columns = {mu: _eigen_column(d1, "D_1", mu, d1_eigenvalue(u, mu)) for mu in down}
     e_lam = d1_eigenvalue(u, lam)
-    coeffs = {lam: Frac(u.one())}
-    for pos in range(len(down) - 2, -1, -1):
-        nu = down[pos]
-        above = down[pos + 1:]
-        s = frac_sum(u, [coeffs[mu] * columns[mu][nu]
-                         for mu in above if mu in coeffs and nu in columns[mu]])
-        bag = dict(s.bag)
-        gap = e_lam - d1_eigenvalue(u, nu)
-        bag[gap] = bag.get(gap, 0) + 1
-        c = Frac(s.num, bag).shrink()
-        if not c.is_zero():
-            coeffs[nu] = c
+    coeffs = {lam: integral_form_scalar(u, lam)}
+    for pos, nu in reversed(list(enumerate(down[:-1]))):
+        s = mp_sum(u, [coeffs[mu] * columns[mu][nu]
+                       for mu in down[pos + 1:] if mu in coeffs and nu in columns[mu]])
+        if not s.is_zero():
+            coeffs[nu] = Frac.over(s, e_lam - d1_eigenvalue(u, nu)).as_poly()
     return coeffs
+
+
+@memo_per_partition
+def macdonald_p(lam: Partition, n: int) -> dict:
+    """Monic P_lam = J_lam / c_lam as its m-basis coordinates {mu: fraction in (q,t)}.
+
+    Each is in lowest terms (:meth:`Frac.lowest`), so its bytes depend only on its value.
+    Memoized per (lam, n); the cached dict is never mutated.
+    """
+    u, j = universe(n), macdonald_j(lam, n)
+    bag = _c_factors(u, lam)
+    return {mu: Frac.from_factors(u, [c], bag).lowest() for mu, c in j.items()}
 
 
 def _p_in_x(lam: Partition, n: int) -> Frac:
     """P_lam multiplied out in the x variables of universe(n)."""
     u = universe(n)
     return frac_sum(u, [c * monomial_symmetric(u, mu) for mu, c in macdonald_p(lam, n).items()])
-
-
-def integral_form_scalar(u: VarUniverse, lam: Partition) -> MPoly:
-    """c_lam = prod over cells of (1 - q^arm t^(leg+1))."""
-    return mp_prod(u, (u.one() - u.mono(1, {"q": a, "t": l + 1})
-                       for a, l in (lam.arm_leg(s) for s in lam.cells())))
-
-
-@memo_per_partition
-def macdonald_j(lam: Partition, n: int) -> dict:
-    """Integral form J_lam = c_lam * P_lam as its m-basis coordinates.
-
-    Returns {mu: coefficient}, each coefficient c_lam times P's, certified
-    in Z[q,t] by exact division (``as_poly`` raises NotDivisible otherwise,
-    which would mean an upstream bug).  Memoized per (lam, n); the cached
-    dict is never mutated.
-    """
-    c_lam = integral_form_scalar(universe(n), lam)
-    return {mu: (c * c_lam).as_poly() for mu, c in macdonald_p(lam, n).items()}
 
 
 # -- identity checks -----------------------------------------------------------
@@ -332,7 +330,7 @@ def d_u_column(mu: Partition, n: int) -> dict:
 
     D(u) is triangular on the monomial basis with diagonal entry
     prod_i (1 - u q^{mu_i} t^{n-i}) (Macdonald, ch. VI); both are certified
-    as :func:`macdonald_p` certifies them for D_1.  Memoized per (mu, n); the
+    as :func:`macdonald_j` certifies them for D_1.  Memoized per (mu, n); the
     cached dict is never mutated.
     """
     uu = universe(n, u=True)

@@ -542,12 +542,22 @@ def test_lowest_gives_one_form_for_one_value():
     assert_same_frac(Frac(p).lowest(), Frac(p))
 
 
-@pytest.mark.parametrize("factor", [ONE + X1 + X2, ONE - T, U.const(2) - Q, X1,
-                                    ONE + Q + U.mono(1, {"q": 3}),
+def test_lowest_splits_q_t_binomials_into_pieces():
+    # the factors 1 - q^a t^(l+1) of c_lam: 1 - q^2 t^2 = (1 - qt)(1 + qt),
+    # and 1 - t, 1 - q t^2 are pieces themselves, so P = J / c_lam reaches
+    # lowest terms
+    qt, qt2 = Q * T, Q * T * T
+    got = Frac((ONE - qt) * (ONE - T) * (ONE - qt2),
+               {ONE - T: 2, ONE - qt * qt: 1, ONE - qt2: 2}).lowest()
+    assert_same_frac(got, Frac(ONE, {ONE - T: 1, ONE + qt: 1, ONE - qt2: 1}))
+
+
+@pytest.mark.parametrize("factor", [ONE + X1 + X2, T - Q, ONE - UU, ONE - U.y(1),
+                                    U.const(2) - Q, X1, ONE + Q + U.mono(1, {"q": 3}),
                                     -(ONE + Q + Q * Q), X1 * (ONE + Q + Q * Q),
                                     U.mono(1, {"q": -1}) * (ONE - Q + Q * Q)],
-                         ids=["three-terms", "1-t", "2-q", "monomial", "1+q+q^3",
-                              "minus-phi3", "x1-phi3", "q^-1-phi6"])
+                         ids=["three-terms", "t-q", "1-u", "1-y1", "2-q", "monomial",
+                              "1+q+q^3", "minus-phi3", "x1-phi3", "q^-1-phi6"])
 def test_lowest_refuses_other_factors(factor):
     with pytest.raises(ValueError):
         Frac(ONE, {factor: 1}).lowest()

@@ -340,7 +340,7 @@ def test_checked_in_golden_corpus_matches(capsys):
     (("operator", "--m", "3", "--n", "2", "--format", "json"),
      "f7cf4467b776ab244c704abc111dd0109d7f183869f4b92f40f6fdc58042473d"),
     (("poly", "P", "--lambda", "3,1", "--n", "3", "--format", "json"),
-     "70d10f1459f685992d4beb8d7d15270960df87a1167588a0cf1dc0935b61a416"),
+     "0ce6175a5715ba35a1273855a7ced4137b0ba2d6b1efb42f661f0a7679d965ce"),
     (("operator", "--m", "2", "--n", "3", "--format", "json"),
      "a0663750d4850761e8164abeda4dca3f6a86a30ea1a376dfb1d0834098eda043"),
     (("operator", "--m", "4", "--n", "2", "--format", "json"),
@@ -356,15 +356,14 @@ def test_checked_in_golden_corpus_matches(capsys):
     (("poly", "J", "--lambda", "3,1", "--n", "4"),
      "5280e92a38c57743e800e1f3f34762328c793e22ac97468a5febbe4fa38ea6ec"),
     (("poly", "P", "--lambda", "3,1", "--n", "4", "--format", "json"),
-     "603c9e4017d082c4d3b5c0c76f3c001c728a958c476baab2025115e00ea56aa4"),
+     "2c8a6dd110fc7b092be6c1fb6612b83fb20710ad5521964770d84ca041ef27b8"),
     (("poly", "P", "--lambda", "2,1,1", "--n", "3"),
      "9a60f2819f766ca170312289f5a1245a40bb2a75243c5fc66d26fb2ca380e2ff"),
 ], ids=["B-m3-n2", "P-31-n3", "B-m2-n3", "B-m4-n2", "B-m3-n3", "B-m2-n4",
         "J-32-n4", "J-2111-n4", "J-31-n4-text", "P-31-n4", "P-211-n3-text"])
 def test_json_outputs_keep_their_bytes(capsys, argv, digest):
-    # B_m stores its coefficients in lowest terms (Frac.lowest), so its bytes
-    # depend only on its value; the P solve's fractions are not reduced, so
-    # its bytes also depend on how the solve sums them; J's coordinates are
+    # B_m and P store their coefficients in lowest terms (Frac.lowest), so
+    # their bytes depend only on their values; J's coordinates are
     # polynomials, pinned here beyond the golden corpus's n <= 3
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from macdo import macdonald as mac
-from macdo.algebra import Frac, NotDivisible, cauchy_kernel, frac_sum, universe
+from macdo.algebra import Frac, NotDivisible, cauchy_kernel, frac_sum, try_div, universe
 from macdo.macdonald import (QDiffOp, cauchy_diff, d1_eigenvalue,
                              determinantal_agreement_check, dual_lowering,
                              eigen_diff, eigenvalue_u, expand_in_monomial_basis,
@@ -74,6 +74,9 @@ def test_macdonald_p_small_values():
     assert set(p2) == {Partition((2,)), Partition((1, 1))}
     coeff = p2[Partition((1, 1))]
     assert coeff.eq(Frac.over((one + q) * (one - t), one - q * t))
+    # J_(2) / c_(2) in lowest terms, field for field
+    want = Frac((one + q) * (one - t), {one - q * t: 1})
+    assert coeff.num.terms == want.num.terms and coeff.bag == want.bag
     assert p2[Partition((2,))].eq(Frac(one))
 
 
@@ -112,14 +115,16 @@ def test_integral_form_scalars():
 
 def test_macdonald_j_values():
     u = universe(2)
-    one, t = u.one(), u.gen("t")
+    one, q, t = u.one(), u.gen("q"), u.gen("t")
     assert macdonald_j(Partition(()), 2) == {Partition(()): one}
     j1 = macdonald_j(Partition((1,)), 2)
     assert j1 == {Partition((1,)): one - t}
     assert from_monomial_basis(u, j1) == (one - t) * (u.x(1) + u.x(2))
-    j2 = macdonald_j(Partition((2,)), 2)
-    c2 = integral_form_scalar(u, Partition((2,)))
-    assert Frac(from_monomial_basis(u, j2)).eq(mac._p_in_x(Partition((2,)), 2) * c2)
+    # J_(2) = (1 - qt)(1 - t) m_(2) + (1 + q)(1 - t)^2 m_(1,1), written out
+    # rather than read back from P, which is J over c_lam
+    assert macdonald_j(Partition((2,)), 2) == {
+        Partition((2,)): (one - q * t) * (one - t),
+        Partition((1, 1)): (one + q) * (one - t) * (one - t)}
 
 
 def test_j_coefficients_are_integral():
@@ -129,6 +134,20 @@ def test_j_coefficients_are_integral():
                 # macdonald_j raises NotDivisible unless every coordinate divides
                 for c in macdonald_j(lam, n).values():
                     assert c.min_exp("q") >= 0 and c.min_exp("t") >= 0
+
+
+def test_j_solve_refuses_a_seed_that_is_not_integral(monkeypatch):
+    # negative control: seeded with c_(2,1) / (1 - q t^2) = (1 - t)^2, the
+    # solve's coordinates below (2,1) are P's times (1 - t)^2, whose
+    # denominators keep 1 - q t^2, so an exact division by a gap fails
+    lam, n = Partition((2, 1)), 3
+    seed = integral_form_scalar
+    monkeypatch.setattr(mac, "integral_form_scalar", lambda u, lam_: try_div(
+        seed(u, lam_), u.one() - u.mono(1, {"q": 1, "t": 2})))
+    with pytest.raises(NotDivisible):
+        macdonald_j.__wrapped__(lam, n)
+    monkeypatch.undo()  # the true seed passes
+    macdonald_j.__wrapped__(lam, n)
 
 
 def test_eigen_equation_examples():
@@ -221,11 +240,11 @@ def test_triangular_columns_refuse_a_broken_image(monkeypatch, operator, extra, 
     monkeypatch.setattr(mac, name, lambda uu: _perturbed(build(uu), term))
     with pytest.raises(AssertionError, match=message):
         if operator == "D_1":
-            macdonald_p.__wrapped__(mu, n)  # D_(1,1) is its only column
+            macdonald_j.__wrapped__(mu, n)  # D_(1,1) is its only column
         else:
             mac.d_u_column.__wrapped__(mu, n)
     monkeypatch.undo()  # the operators themselves pass
-    macdonald_p.__wrapped__(mu, n)
+    macdonald_j.__wrapped__(mu, n)
     mac.d_u_column.__wrapped__(mu, n)
 
 
@@ -347,6 +366,8 @@ def test_p_matches_an_independent_sympy_d1_eigenproblem():
         coeffs, f = _sympy_p(sp, lam, n)
         num, den = coeffs[lam.to_string()]
         assert sp.expand(num - den) == 0, (lam, n)
+        for mu, (num, den) in coeffs.items():
+            assert sp.gcd(num, den) in (1, -1), (lam, n, mu)  # lowest terms
         assert _sympy_d1_residual(sp, f, lam, n) == 0, (lam, n)
 
 
