@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from functools import lru_cache
 
 _W = 28                  # bits per packed exponent field
@@ -1086,27 +1087,37 @@ def _oriented(u: VarUniverse, num: MPoly, bag: dict):
     return num, out
 
 
-def _best_pair(bags) -> tuple:
+def _best_pair(bags, holders=None) -> tuple:
     """Indices i < j of the two bags that share the most factor copies; the
-    first such pair in scan order wins a tie."""
-    best, bi, bj = -1, 0, 1
+    first such pair in scan order wins a tie.
+
+    Given ``holders`` (factor -> number of pending bags holding it), the pair
+    that completes the most factors comes first: a shared factor completes
+    when the two bags are its only holders.  Shared copies then break a tie,
+    and scan order after that.
+    """
+    best, bi, bj = None, 0, 1
     for i in range(len(bags)):
         bag_i = bags[i]
         for j in range(i + 1, len(bags)):
             bag_j = bags[j]
             small, large = (bag_i, bag_j) if len(bag_i) < len(bag_j) else (bag_j, bag_i)
             score = sum(min(m, large.get(f, 0)) for f, m in small.items())
-            if score > best:
+            if holders is not None:
+                score = (sum(holders[f] == 2 for f in small if f in large), score)
+            if best is None or score > best:
                 best, bi, bj = score, i, j
     return bi, bj
 
 
-def _merge(n1: MPoly, b1: dict, n2: MPoly, b2: dict, cancel: bool):
+def _merge(n1: MPoly, b1: dict, n2: MPoly, b2: dict, holders=None):
     """n1 / prod(b1) + n2 / prod(b2) over the union bag, as (num, bag).
 
-    A sum that vanishes gets the empty bag.  With ``cancel`` the sum is
-    trial-divided by every two-term factor of both bags, up to the smaller
-    multiplicity, and each factor that divides exactly leaves the bag.
+    A sum that vanishes gets the empty bag.  Given ``holders`` (the cancelling
+    merge), the sum is trial-divided by each two-term factor of both bags
+    whose only holders are these two, up to the smaller multiplicity, and
+    each factor that divides exactly leaves the bag.  ``holders`` is then
+    updated for the merged item.
     """
     union = dict(b1)
     for f, m in b2.items():
@@ -1115,14 +1126,18 @@ def _merge(n1: MPoly, b1: dict, n2: MPoly, b2: dict, cancel: bool):
     s = (_times(n1, ((f, m - b1.get(f, 0)) for f, m in union.items())) +
          _times(n2, ((f, m - b2.get(f, 0)) for f, m in union.items())))
     if s.is_zero():
-        return s, {}
-    if cancel:
-        s, gone = _divide_out(s, [(f, min(m, b2.get(f, 0))) for f, m in b1.items()
-                                  if len(f.terms) == 2])
+        union = {}
+    elif holders is not None:
+        s, gone = _divide_out(s, [(f, min(m, b2[f])) for f, m in b1.items()
+                                  if f in b2 and holders[f] == 2 and len(f.terms) == 2])
         for f, k in gone.items():
             union[f] -= k
             if not union[f]:
                 del union[f]
+    if holders is not None:
+        holders.subtract(b1.keys())
+        holders.subtract(b2.keys())
+        holders.update(union.keys())
     return s, union
 
 
@@ -1140,12 +1155,18 @@ def frac_sum(u: VarUniverse, terms, *, cancel: bool = False) -> Frac:
     the numerator.  The two orientations of one pole (1 - x1/x2 and
     1 - x2/x1, 1 - q^-1 x3/x1 and 1 - q x1/x3) thus meet as one shared
     factor.  Factors that touch t, u or y, x_i - x_j and multi-term factors
-    keep their form.  Each merge then trial-divides the new numerator by
-    every two-term factor found in both bags, up to the smaller of its two
-    multiplicities, and drops each factor that divides exactly from the
-    union bag.  The value is unchanged; numerators stay small because shared
-    poles cancel as the sum proceeds instead of all at the end.  Only
-    two-term factors are tried: they divide in linear time
+    keep their form.  The sum then counts, for each factor, the pending
+    items that hold it (its holders).  A merge trial-divides the new
+    numerator by a two-term factor found in both bags only when the merge
+    leaves the merged item as that factor's last holder, up to the smaller
+    of its two multiplicities, and drops each factor that divides exactly
+    from the union bag.  If the whole sum has no pole at a factor, neither
+    has the sum over its holders, so that division succeeds; while another
+    holder is pending the pole almost never cancels, and a failing division
+    costs about as much as the product that made it.  Pairs that complete
+    the most factors (merge their last two holders) go first, so poles
+    cancel as the sum proceeds instead of all at the end.  The value is
+    unchanged.  Only two-term factors are tried: they divide in linear time
     (:func:`_div_binomial`), while trial division by multi-term factors
     costs far more than it saves.
 
@@ -1165,10 +1186,11 @@ def frac_sum(u: VarUniverse, terms, *, cancel: bool = False) -> Frac:
                          else (tm.num, tm._bagdict()))
     if not items:
         return Frac(u.zero())
+    holders = Counter(f for _, bag in items for f in bag) if cancel else None
     while len(items) > 1:
-        bi, bj = _best_pair([bag for _, bag in items])
+        bi, bj = _best_pair([bag for _, bag in items], holders)
         n2, b2 = items.pop(bj)
         n1, b1 = items.pop(bi)
-        items.append(_merge(n1, b1, n2, b2, cancel))
+        items.append(_merge(n1, b1, n2, b2, holders))
     num, bag = items[0]
     return Frac(num, bag)

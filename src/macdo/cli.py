@@ -17,14 +17,14 @@ from . import qbinomial as qb
 from . import raising as rs
 from . import serialize as ser
 from .partitions import mi_weight, parse_partition, partitions_of
-from .suites import build_suite, run_cases
+from .suites import SUITES, build_suite, run_cases
 
 DESK_N, DESK_M, DESK_WEIGHT = 4, 4, 5
-# building B_m on n variables: m*n = 12 takes 11 s for (4, 3) and 28 s for
-# (3, 4), while (4, 4) did not finish in 15 minutes at 1.0-1.6 GB.  The cap
-# bounds every command that builds B_m: `operator`, `verify` and `identity
-# --name keyid`, whose columns B_m m_lam take keyid (4, 3) about 85 s at
-# 84 MB and (3, 4) about 5 minutes at 169 MB
+# building B_m on n variables (2-core VM): m*n = 12 takes about 4 s for
+# (4, 3) and 9 s for (3, 4), while (4, 4) did not finish in 15 minutes at
+# 1.0-1.6 GB.  The cap bounds every command that builds B_m: `operator`,
+# `verify` and `identity --name keyid`, whose columns B_m m_lam take keyid
+# (4, 3) about 40 s at 83 MB and (3, 4) about 3 minutes at 161 MB
 DESK_BUILD_MN = 12
 
 
@@ -55,8 +55,13 @@ def check_build(m: int, n: int, unsafe=False) -> None:
         raise ValueError("B_m with m*n > %d needs --unsafe-limits" % DESK_BUILD_MN)
 
 
-def _parse_mi(s: str) -> tuple:
-    return tuple(int(p) for p in s.split(","))
+def _parse_mi(option: str, s: str) -> tuple:
+    """The multi-index of --option; ValueError naming the input otherwise."""
+    try:
+        return tuple(int(p) for p in s.split(","))
+    except ValueError:
+        raise ValueError("--%s %r is not a multi-index (integers joined by commas)"
+                         % (option, s)) from None
 
 
 def _out_stream(path):
@@ -88,7 +93,11 @@ def _write(text: str, stream=None) -> None:
 
 
 def cmd_poly(args) -> int:
-    lam = parse_partition(args.lam)
+    try:
+        lam = parse_partition(args.lam)
+    except ValueError:
+        raise ValueError("--lambda %r is not a partition (weakly decreasing nonnegative "
+                         "integers joined by commas)" % args.lam) from None
     check_limits(n=args.n, max_weight=lam.weight(), unsafe=args.unsafe_limits)
     if lam.length() > args.n:
         return _fail("partition %r needs more than %d variables" % (lam, args.n))
@@ -143,7 +152,7 @@ def cmd_identity(args) -> int:
         if v is None:
             return _fail("identity %s needs --%s" % (name, p))
         params[p] = v
-    parsed = {p: _parse_mi(v) if p in _MULTI_INDEX_OPTIONS else v
+    parsed = {p: _parse_mi(p, v) if p in _MULTI_INDEX_OPTIONS else v
               for p, v in params.items()}
     for p, v in parsed.items():
         if min(v if p in _MULTI_INDEX_OPTIONS else (v,)) < 0:
@@ -167,13 +176,13 @@ def cmd_identity(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.suite != "all" and args.suite not in SUITES:
+        return _fail("unknown suite %r (choose from %s)"
+                     % (args.suite, ", ".join(sorted(SUITES) + ["all"])))
     check_limits(n=args.n, m=args.m, max_weight=args.max_weight,
                  unsafe=args.unsafe_limits)
-    try:
-        cases = build_suite(args.suite, max_n=args.n, max_m=args.m,
-                            max_weight=args.max_weight)
-    except KeyError as exc:
-        return _fail(exc)
+    cases = build_suite(args.suite, max_n=args.n, max_m=args.m,
+                        max_weight=args.max_weight)
     if not cases:
         return _fail("no %s cases within these limits" % args.suite)
     check_limits(m=max(c.builds[0] for c in cases), unsafe=args.unsafe_limits)

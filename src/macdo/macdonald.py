@@ -279,6 +279,18 @@ def integral_form_scalar(u: VarUniverse, lam: Partition) -> MPoly:
 
 
 @memo_per_partition
+def d1_column(mu: Partition, n: int) -> dict:
+    """D_1 m_mu in the m basis of n variables: {nu: coefficient in q, t}.
+
+    Certified below mu with diagonal entry sum_i q^{mu_i} t^{n-i}
+    (:func:`_eigen_column`).  Memoized per (mu, n), so each J solve above mu
+    reads one certificate; the cached dict is never mutated.
+    """
+    u = universe(n)
+    return _eigen_column(macdonald_d1(u), "D_1", mu, d1_eigenvalue(u, mu))
+
+
+@memo_per_partition
 def macdonald_j(lam: Partition, n: int) -> dict:
     """Integral form J_lam = c_lam * P_lam as its m-basis coordinates {mu: polynomial}.
 
@@ -290,9 +302,8 @@ def macdonald_j(lam: Partition, n: int) -> dict:
     if lam.length() > n:
         raise ValueError("J_%r needs at least %d variables" % (lam, lam.length()))
     u = universe(n)
-    d1 = macdonald_d1(u)
     down = dominance_downset(lam, n)
-    columns = {mu: _eigen_column(d1, "D_1", mu, d1_eigenvalue(u, mu)) for mu in down}
+    columns = {mu: d1_column(mu, n) for mu in down}
     e_lam = d1_eigenvalue(u, lam)
     coeffs = {lam: integral_form_scalar(u, lam)}
     for pos, nu in reversed(list(enumerate(down[:-1]))):
@@ -330,7 +341,7 @@ def d_u_column(mu: Partition, n: int) -> dict:
 
     D(u) is triangular on the monomial basis with diagonal entry
     prod_i (1 - u q^{mu_i} t^{n-i}) (Macdonald, ch. VI); both are certified
-    as :func:`macdonald_j` certifies them for D_1.  Memoized per (mu, n); the
+    as :func:`d1_column` certifies them for D_1.  Memoized per (mu, n); the
     cached dict is never mutated.
     """
     uu = universe(n, u=True)

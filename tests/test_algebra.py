@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import macdo.algebra as algebra
 from macdo.algebra import (Frac, MPoly, NotDivisible, UniverseMismatch,
                            frac_sum, mp_prod, mp_sum, qpoch, qpoch_factors,
                            try_div, universe, universe_of_names)
@@ -413,6 +414,35 @@ def test_cancelling_sum_orients_only_q_x_binomials_through_one():
     s = frac_sum(U, [Frac(ONE + Q, kept)], cancel=True)
     assert s.num == ONE + Q
     assert s.bag == Frac(ONE, kept).bag
+
+
+def test_cancelling_sum_tries_a_pole_at_its_last_holder(monkeypatch):
+    # a/f + b/f + c/f with a + b + c = q f: the total has no pole at f, but no
+    # pair sum (1 + t, q f - t, q f - 1) is divisible by f, so f is tried
+    # only at the merge that leaves one holder, and there it divides
+    f = ONE - U.mono(1, {"q": 1, "x1": 1, "x2": -1})
+    real, tried = algebra.try_div, []
+
+    def counting(num, den):
+        qu = real(num, den)
+        if den == f:
+            tried.append(qu is not None)
+        return qu
+
+    monkeypatch.setattr(algebra, "try_div", counting)
+    terms = [Frac(ONE, {f: 1}), Frac(T, {f: 1}), Frac(Q * f - ONE - T, {f: 1})]
+    s = frac_sum(U, terms, cancel=True)
+    assert tried == [True]
+    assert s.bag == () and s.num == Q
+    assert s.eq(frac_sum(U, terms))
+    # negative control: (1 + t + q) / f keeps its pole; f is tried once, at
+    # its last holder, that division fails and f stays in the bag
+    del tried[:]
+    terms = [Frac(ONE, {f: 1}), Frac(T, {f: 1}), Frac(Q, {f: 1})]
+    s = frac_sum(U, terms, cancel=True)
+    assert tried == [False]
+    assert s.bag == ((f, 1),) and s.num == ONE + T + Q
+    assert s.eq(frac_sum(U, terms))
 
 
 def test_cancelling_sum_refuses_a_shift_past_the_packed_field():

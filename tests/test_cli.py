@@ -233,8 +233,26 @@ def test_verify_suite_reports_and_exit(capsys):
 
 
 def test_verify_unknown_suite(capsys):
-    code, _, err = run_cli(capsys, "verify", "--suite", "bogus")
-    assert code == 2
+    code, out, err = run_cli(capsys, "verify", "--suite", "bogus")
+    assert code == 2 and out == ""
+    assert err == ("error: unknown suite 'bogus' (choose from cauchy, chu, hl, keyid, "
+                   "oracles, qbinom, raising, all)\n")
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("poly", "J", "--lambda", "2,,1", "--n", "3"),
+     "--lambda '2,,1' is not a partition"),
+    (("poly", "J", "--lambda", "a", "--n", "3"), "--lambda 'a' is not a partition"),
+    (("poly", "P", "--lambda", "1,2", "--n", "2"), "--lambda '1,2' is not a partition"),
+    (("identity", "--name", "qbinom", "--alpha", "1,,2"),
+     "--alpha '1,,2' is not a multi-index"),
+], ids=["empty-part", "letter", "unsorted", "alpha"])
+def test_malformed_integer_lists_name_the_input(capsys, argv, line):
+    # one plain line that names the option and its value, not int()'s message
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: " + line) and err.count("\n") == 1
+    assert "int()" not in err
 
 
 def test_verify_exit_one_when_a_case_fails(monkeypatch, capsys):

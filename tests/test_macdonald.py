@@ -136,6 +136,23 @@ def test_j_coefficients_are_integral():
                     assert c.min_exp("q") >= 0 and c.min_exp("t") >= 0
 
 
+def test_j_solves_certify_each_d1_column_once(monkeypatch):
+    # J_(2,1) and J_(3) on n = 3 share the columns D_1 m_(2,1) and
+    # D_1 m_(1,1,1); the second solve reads them from d1_column's memo
+    certified = []
+    real = mac._eigen_column
+
+    def counting(op, name, mu, eigenvalue):
+        certified.append((name, mu))
+        return real(op, name, mu, eigenvalue)
+
+    monkeypatch.setattr(mac, "_eigen_column", counting)
+    macdonald_j.__wrapped__(Partition((2, 1)), 3)
+    del certified[:]
+    macdonald_j.__wrapped__(Partition((3,)), 3)
+    assert set(certified) <= {("D_1", Partition((3,)))}
+
+
 def test_j_solve_refuses_a_seed_that_is_not_integral(monkeypatch):
     # negative control: seeded with c_(2,1) / (1 - q t^2) = (1 - t)^2, the
     # solve's coordinates below (2,1) are P's times (1 - t)^2, whose
@@ -238,13 +255,11 @@ def test_triangular_columns_refuse_a_broken_image(monkeypatch, operator, extra, 
     term = (u.one() if extra == "1" else
             u.mono(1, {"x1": 1, "x2": -1}) + u.mono(1, {"x1": -1, "x2": 1}))
     monkeypatch.setattr(mac, name, lambda uu: _perturbed(build(uu), term))
+    column = mac.d1_column if operator == "D_1" else mac.d_u_column
     with pytest.raises(AssertionError, match=message):
-        if operator == "D_1":
-            macdonald_j.__wrapped__(mu, n)  # D_(1,1) is its only column
-        else:
-            mac.d_u_column.__wrapped__(mu, n)
+        column.__wrapped__(mu, n)
     monkeypatch.undo()  # the operators themselves pass
-    macdonald_j.__wrapped__(mu, n)
+    mac.d1_column.__wrapped__(mu, n)
     mac.d_u_column.__wrapped__(mu, n)
 
 

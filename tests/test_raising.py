@@ -5,6 +5,8 @@ from math import comb
 
 import pytest
 
+import macdo.algebra as algebra
+import macdo.macdonald as mac
 from macdo.algebra import Frac, NotDivisible, cauchy_kernel, frac_sum, universe
 from macdo.macdonald import (QDiffOp, from_monomial_basis, macdonald_j, macdonald_p,
                              monomial_symmetric, x_transposition_rename)
@@ -162,6 +164,36 @@ def test_raising_columns_are_built_once_per_triple(monkeypatch):
     assert len(applied) == 2 and raising_column.cache_info().misses == 2
     assert raising_diff(2, Partition((1, 1)), 2).is_zero()
     assert len(applied) == 2 and raising_column.cache_info().misses == 2
+
+
+def test_b3_columns_on_three_variables_make_no_failing_merge_division(monkeypatch):
+    # B_3 m_mu is a polynomial, so the cancelling merges of its apply divide
+    # each shared pole only at its last holder, where it cancels: no merge
+    # division fails (156 failed when every shared pole was tried at every
+    # merge), and the as_poly certificate that follows is not counted
+    row_raising_op(3, 3)  # built outside the count
+    real_div, real_sum = algebra.try_div, mac.frac_sum
+    merging, outcomes = [False], []
+
+    def counting_div(num, den):
+        qu = real_div(num, den)
+        if merging[0]:
+            outcomes.append(qu is not None)
+        return qu
+
+    def marked_sum(u, terms, **kw):
+        merging[0] = kw.get("cancel", False)
+        try:
+            return real_sum(u, terms, **kw)
+        finally:
+            merging[0] = False
+
+    monkeypatch.setattr(algebra, "try_div", counting_div)
+    monkeypatch.setattr(mac, "frac_sum", marked_sum)
+    raising_column.cache_clear()
+    for mu in ((), (1,)):
+        assert raising_column(3, Partition(mu), 3)
+    assert outcomes and all(outcomes), outcomes.count(False)
 
 
 @pytest.mark.parametrize("m, mu, n", [(1, (2,), 2), (2, (3, 1), 3), (-1, (), 1),
