@@ -100,7 +100,8 @@ def cmd_poly(args) -> int:
                          "integers joined by commas)" % args.lam) from None
     check_limits(n=args.n, max_weight=lam.weight(), unsafe=args.unsafe_limits)
     if lam.length() > args.n:
-        return _fail("partition %r needs more than %d variables" % (lam, args.n))
+        return _fail("--lambda %r has %d rows, more than --n %d"
+                     % (args.lam, lam.length(), args.n))
     coords = (mac.macdonald_j if args.kind == "J" else mac.macdonald_p)(lam, args.n)
     if args.format == "json":
         _write(ser.dumps(ser.sympoly_to_obj(coords, lam, args.kind)))

@@ -12,6 +12,12 @@ as a polynomial column in Z[q,t] by the certificate D_1 and D(u) share.
 B_m acts only through those columns: the raising property and the iterated
 build combine them with the integral forms' coordinates, and the kernel
 identity with the kernel's coordinates e_lam(y).
+
+B_m commutes with permuting x, so it is built once per S_n orbit: b_alpha
+and the sum at T^beta are formed only for weakly decreasing alpha and beta,
+and every other coefficient is its orbit representative's with x permuted,
+brought back to lowest terms.  :func:`equivariance_check` compares those
+with the direct sum, which permutes nothing.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from math import comb
 from .algebra import Frac, MPoly, VarUniverse, cauchy_kernel, frac_sum, universe
 from .macdonald import (QDiffOp, certified_column, combine_columns, cross_term,
                         dual_lowering, expand_in_monomial_basis, from_monomial_basis,
-                        macdonald_j, macdonald_p, x_transposition_rename)
+                        macdonald_j, macdonald_p)
 from .partitions import (Partition, box_below, memo_per_partition, mi_leq,
                          mi_sub, mi_weight, multi_indices_upto, weak_compositions)
 from .qbinomial import double_poch_factors, interp_assignment, qbinom_x
@@ -195,26 +201,63 @@ def block_coeff_interp(u: VarUniverse, m: int, alpha: tuple) -> Frac:
 # -- assembly and verification ------------------------------------------------------
 
 
+def _sorting_rename(gamma: tuple):
+    """gamma sorted weakly decreasing, and the x rename that carries it back.
+
+    Position k of the sorted tuple takes gamma's entry at order[k], so the
+    rename x_{k+1} -> x_{order[k]+1} turns x^sorted into x^gamma.
+    """
+    order = sorted(range(len(gamma)), key=lambda i: -gamma[i])
+    return (tuple(gamma[i] for i in order),
+            {"x%d" % (k + 1): "x%d" % (i + 1) for k, i in enumerate(order)})
+
+
+def _shift_coeff(u: VarUniverse, blocks, beta: tuple) -> Frac:
+    """sum_alpha b_alpha phi_alpha[beta] over the (alpha, b_alpha) of ``blocks``.
+
+    The cancelling sum, in lowest terms (:meth:`Frac.lowest`).
+    """
+    return frac_sum(u, [b * raising_block_entry(u, alpha, beta)
+                        for alpha, b in blocks if mi_leq(beta, alpha)],
+                    cancel=True).lowest()
+
+
 @lru_cache(maxsize=None)
 def row_raising_op(m: int, n: int) -> QDiffOp:
     """The raising operator B_m on n variables, in the shift basis T^gamma.
 
-    Expands sum_alpha b_alpha phi_alpha and combines coefficients with the
-    cancelling sum, each stored in lowest terms (:meth:`Frac.lowest`), so the
-    operator's bytes depend only on its value; memoized per (m, n).  Raises
-    ValueError for m < 0, before anything is built or cached.
+    Expands sum_alpha b_alpha phi_alpha once per S_n orbit.  B_m commutes
+    with permuting x, so b_{sigma alpha} = sigma b_alpha and the coefficient
+    of T^{sigma beta} is sigma c_beta.  :func:`block_coeff` is called only
+    for weakly decreasing alpha and the others are permuted from it; the
+    cancelling sum is formed only at weakly decreasing beta, in lowest terms
+    (:meth:`Frac.lowest`), and every other c_beta is its orbit
+    representative's coefficient with x permuted and brought back to lowest
+    terms.  Lowest terms are unique, so each permuted coefficient has the
+    bytes the direct sum at beta would give, and the operator's bytes depend
+    only on its value.  Keys keep the order of the expansion, alpha
+    reverse-lex and beta graded under each alpha.  Memoized per (m, n).
+    Raises ValueError for m < 0, before anything is built or cached.
     """
     if m < 0:
         raise ValueError("the row length m must be >= 0, not %d" % m)
     u = universe(n)
-    acc: dict = {}
+    blocks, reps = [], {}
     for alpha in weak_compositions(m, n):
-        b = block_coeff(u, m, alpha)
-        for beta, phi in raising_block(u, alpha).items():
-            acc.setdefault(beta, []).append(b * phi)
-    coeffs = {}
-    for beta, parts in acc.items():
-        c = frac_sum(u, parts, cancel=True).lowest()
+        rep, rename = _sorting_rename(alpha)
+        if rep == alpha:
+            b = reps[rep] = block_coeff(u, m, alpha)
+        else:
+            b = reps[rep].convert(u, rename)
+        blocks.append((alpha, b))
+    coeffs, sums = {}, {}
+    for beta in dict.fromkeys(b for alpha in weak_compositions(m, n)
+                              for b in box_below(alpha)):
+        rep, rename = _sorting_rename(beta)
+        if rep == beta:
+            c = sums[rep] = _shift_coeff(u, blocks, beta)
+        else:
+            c = sums[rep].convert(u, rename).lowest()
         if not c.is_zero():
             coeffs[beta] = c
     return QDiffOp(u, coeffs)
@@ -330,20 +373,30 @@ def degree_bound_check(m: int, n: int) -> bool:
     return all(img.max_exp("y%d" % j) <= n - 1 for j in range(1, m + 1))
 
 
-def equivariance_check(op: QDiffOp) -> bool:
-    """Symmetric-group invariance: coeff(sg) with x permuted equals coeff(g)."""
+def equivariance_check(m: int, n: int) -> bool:
+    """The orbit build of B_m agrees with the direct sum at every unsorted shift.
+
+    For each beta that is not weakly decreasing, sums b_alpha phi_alpha[beta]
+    over every alpha with b_alpha from :func:`block_coeff` (none permuted),
+    brings it to lowest terms and compares it field for field with the stored
+    coefficient of :func:`row_raising_op` (absent when the sum is 0).  The
+    stored side is the representative's coefficient with x permuted, so this
+    is S_n equivariance, c_{sigma beta}(x) = c_beta(sigma x), checked
+    against an expansion that permutes nothing.
+    """
+    op = row_raising_op(m, n)
     u = op.u
-    n = u.n_x
-    zero = Frac(u.zero())
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            ren = x_transposition_rename(i, j)
-            for gamma, c in op.coeffs.items():
-                sg = list(gamma)
-                sg[i - 1], sg[j - 1] = sg[j - 1], sg[i - 1]
-                other = op.coeffs.get(tuple(sg), zero)
-                if not other.convert(u, ren).eq(c):
-                    return False
+    blocks = [(alpha, block_coeff(u, m, alpha)) for alpha in weak_compositions(m, n)]
+    for beta in multi_indices_upto(m, n):
+        if list(beta) == sorted(beta, reverse=True):
+            continue
+        want = _shift_coeff(u, blocks, beta)
+        got = op.coeffs.get(beta)
+        if got is None:
+            if not want.is_zero():
+                return False
+        elif got.num.terms != want.num.terms or got.bag != want.bag:
+            return False
     return True
 
 

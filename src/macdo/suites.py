@@ -82,7 +82,7 @@ def suite_raising(max_m: int | None = None, max_n: int = 3, max_weight: int = 4)
         for m in range(grid_m + 1):
             cases.append(_bool_case(
                 "raising", "equivariance", {"m": m, "n": n},
-                lambda m=m, n=n: rs.equivariance_check(rs.row_raising_op(m, n)), (m, n)))
+                lambda m=m, n=n: rs.equivariance_check(m, n), (m, n)))
             cases.append(_bool_case(
                 "raising", "order_bound", {"m": m, "n": n},
                 lambda m=m, n=n: rs.order_bound_check(rs.row_raising_op(m, n), m), (m, n)))

@@ -1,5 +1,6 @@
 """Core exact-arithmetic contracts: ring axioms, shifts, fractions, division."""
 
+import itertools
 import json
 import random
 
@@ -487,12 +488,23 @@ def assert_same_frac(got, want):
     assert got.bag == want.bag
 
 
+def _sorted_to(gamma):
+    """x rename carrying x^rep to x^gamma, rep = gamma sorted decreasing."""
+    rep = tuple(sorted(gamma, reverse=True))
+    for perm in itertools.permutations(range(len(gamma))):
+        if all(rep[perm[i]] == g for i, g in enumerate(gamma)):
+            return rep, {"x%d" % (perm[i] + 1): "x%d" % (i + 1) for i in range(len(gamma))}
+
+
 @pytest.mark.parametrize("m, n", [(m, n) for n in range(1, 7) for m in range(7) if m * n <= 6])
 def test_shrunk_sum_is_the_plain_sum_shrunk_on_every_b_m_sum(monkeypatch, m, n):
     # the plain sum, the cancelling sum and the plain sum shrunk carry
-    # different bags; each reduces to the coefficient B_m stores, so what
-    # B_m stores is the plain sum shrunk, whichever path the sum took
+    # different bags; each reduces to the same bytes.  B_m sums only at the
+    # weakly decreasing shifts, in expansion order, and stores every other
+    # coefficient as its orbit representative's sum with x permuted, so each
+    # stored coefficient is the plain sum shrunk, permuted and reduced
     from macdo import raising
+    from macdo.partitions import box_below, weak_compositions
     wants = []
 
     def compared(u, parts, **kw):
@@ -507,11 +519,18 @@ def test_shrunk_sum_is_the_plain_sum_shrunk_on_every_b_m_sum(monkeypatch, m, n):
 
     monkeypatch.setattr(raising, "frac_sum", compared)
     op = raising.row_raising_op.__wrapped__(m, n)
-    assert wants
-    stored = list(op.coeffs.values())
-    assert len(stored) == sum(not w.is_zero() for w in wants)
-    for got, want in zip(stored, (w for w in wants if not w.is_zero())):
-        assert_same_frac(got, want)
+    shifts = dict.fromkeys(b for a in weak_compositions(m, n) for b in box_below(a))
+    reps = [b for b in shifts if list(b) == sorted(b, reverse=True)]
+    assert len(wants) == len(reps)
+    by_rep = dict(zip(reps, wants))
+    u = universe(n)
+    for gamma in shifts:
+        rep, rename = _sorted_to(gamma)
+        want = by_rep[rep].convert(u, rename).lowest()
+        if want.is_zero():
+            assert gamma not in op.coeffs
+        else:
+            assert_same_frac(op.coeffs[gamma], want)
 
 
 UP = ONE - U.mono(1, {"x1": 1, "x2": -1})    # 1 - x1/x2, the oriented form

@@ -255,6 +255,12 @@ def test_malformed_integer_lists_name_the_input(capsys, argv, line):
     assert "int()" not in err
 
 
+def test_a_partition_longer_than_n_names_the_input(capsys):
+    code, out, err = run_cli(capsys, "poly", "J", "--lambda", "2,1", "--n", "1")
+    assert code == 2 and out == ""
+    assert err == "error: --lambda '2,1' has 2 rows, more than --n 1\n"
+
+
 def test_verify_exit_one_when_a_case_fails(monkeypatch, capsys):
     from macdo import cli as cli_mod
     from macdo.suites import _bool_case

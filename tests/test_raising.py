@@ -7,6 +7,7 @@ import pytest
 
 import macdo.algebra as algebra
 import macdo.macdonald as mac
+import macdo.raising as raising
 from macdo.algebra import Frac, NotDivisible, cauchy_kernel, frac_sum, universe
 from macdo.macdonald import (QDiffOp, from_monomial_basis, macdonald_j, macdonald_p,
                              monomial_symmetric, x_transposition_rename)
@@ -106,10 +107,56 @@ def test_row_raising_n1_table():
 
 
 def test_row_raising_equivariance_and_order():
-    for (m, n) in [(1, 2), (2, 2), (1, 3)]:
-        op = row_raising_op(m, n)
-        assert equivariance_check(op)
-        assert order_bound_check(op, m)
+    for (m, n) in [(1, 2), (2, 2), (1, 3), (2, 3)]:
+        assert equivariance_check(m, n)
+        assert order_bound_check(row_raising_op(m, n), m)
+
+
+def test_an_orbit_build_with_the_inverse_permutation_fails_equivariance(monkeypatch):
+    # on three variables the 3-cycles tell sigma from its inverse: beta =
+    # (1,0,2) is (2,1,0) with x1 -> x3, x2 -> x1, x3 -> x2, and the inverse
+    # rename gives another coefficient; a transposition is its own inverse
+    real = raising._sorting_rename
+
+    def inverse(gamma):
+        rep, rename = real(gamma)
+        return rep, {v: k for k, v in rename.items()}
+
+    monkeypatch.setattr(raising, "_sorting_rename", inverse)
+    wrong = row_raising_op.__wrapped__(3, 3)
+    monkeypatch.setattr(raising, "_sorting_rename", real)
+    right = row_raising_op(3, 3)
+    assert not _same_frac(wrong.coeffs[(1, 0, 2)], right.coeffs[(1, 0, 2)])
+    assert equivariance_check(3, 3)
+    monkeypatch.setattr(raising, "row_raising_op", lambda m, n: wrong)
+    assert not equivariance_check(3, 3)
+
+
+def _direct_build(m, n):
+    """B_m's coefficients summed at every shift, each b_alpha from block_coeff."""
+    u = universe(n)
+    acc = {}
+    for alpha in weak_compositions(m, n):
+        b = block_coeff(u, m, alpha)
+        for beta, phi in raising_block(u, alpha).items():
+            acc.setdefault(beta, []).append(b * phi)
+    coeffs = {}
+    for beta, parts in acc.items():
+        c = frac_sum(u, parts, cancel=True).lowest()
+        if not c.is_zero():
+            coeffs[beta] = c
+    return coeffs
+
+
+@pytest.mark.parametrize("m, n", [(m, n) for n in range(1, 7) for m in range(10)
+                                  if m * n <= 9])
+def test_orbit_build_is_the_direct_sum_field_for_field(m, n):
+    # n <= 6: B_1's sum at the zero shift on n = 9 takes over a minute either way
+    want = _direct_build(m, n)
+    got = row_raising_op.__wrapped__(m, n).coeffs
+    assert list(got) == list(want)
+    for beta, c in want.items():
+        assert _same_frac(got[beta], c), (m, n, beta)
 
 
 def test_raising_property_examples():
