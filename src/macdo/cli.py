@@ -20,11 +20,11 @@ from .partitions import mi_weight, parse_partition, partitions_of
 from .suites import SUITES, build_suite, run_cases
 
 DESK_N, DESK_M, DESK_WEIGHT = 4, 4, 5
-# building B_m on n variables (2-core VM): m*n = 12 takes about 4 s for
-# (4, 3) and 9 s for (3, 4), while (4, 4) did not finish in 15 minutes at
-# 1.0-1.6 GB.  The cap bounds every command that builds B_m: `operator`,
-# `verify` and `identity --name keyid`, whose columns B_m m_lam take keyid
-# (4, 3) about 40 s at 83 MB and (3, 4) about 3 minutes at 161 MB
+# building B_m on n variables (2-core VM, fresh processes): m*n = 12 takes
+# 1.9 s at 30 MB for (4, 3) and 2.6 s at 54 MB for (3, 4), while (4, 4)
+# takes 139 s at 567 MB.  The cap bounds every command that builds B_m:
+# `operator`, `verify` and `identity --name keyid`, whose columns B_m m_lam
+# take keyid (4, 3) 32 s at 56 MB and (3, 4) 180 s at 161 MB
 DESK_BUILD_MN = 12
 
 

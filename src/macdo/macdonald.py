@@ -82,13 +82,13 @@ def cross_term(u: VarUniverse, K, others):
     return num.scale(sign), bag
 
 
-def macdonald_d(u: VarUniverse, with_u: bool = True) -> QDiffOp:
+def macdonald_d(u: VarUniverse) -> QDiffOp:
     """The generating operator D(u;q,t) = sum_r (-u)^r D_r over 2^n subsets.
 
-    With ``with_u=False`` the specialization u=1 is built instead (no u
-    variable needed in the universe).
+    On a universe without a u variable the specialization u = 1 is built.
     """
     n = u.n_x
+    with_u = "u" in u.names
     coeffs = {}
     for bits in itertools.product((0, 1), repeat=n):
         K = [i for i in range(n) if bits[i]]
@@ -115,16 +115,21 @@ def macdonald_d1(u: VarUniverse) -> QDiffOp:
     return QDiffOp(u, coeffs)
 
 
+# the determinantal form expands n! permutations times 2^n subsets
+DET_MAX_N = 4
+
+
 def macdonald_d_det(u: VarUniverse) -> QDiffOp:
     """Determinantal form of D(u;q,t).
 
     Expands (1/Delta(x)) sum_w eps(w) w(prod_i x_i^{n-i}(1 - u t^{n-i} T_{q,x_i}))
     directly; every coefficient is a fraction over the Vandermonde factors.
-    Intended for small n as an independent cross-check of macdonald_d.
+    An independent cross-check of macdonald_d for n <= DET_MAX_N.
     """
     n = u.n_x
-    if n > 4:
-        raise ValueError("determinantal expansion is a desk-scale cross-check (n <= 4)")
+    if n > DET_MAX_N:
+        raise ValueError("determinantal expansion is a desk-scale cross-check (n <= %d)"
+                         % DET_MAX_N)
     delta_bag = {}
     for i in range(n):
         for j in range(i + 1, n):
@@ -431,7 +436,7 @@ def dual_lowering(f) -> Frac:
         return f
     rename = _duality(u.n_x, u.n_y)
     dual = universe(u.n_y, u.n_x)
-    img = macdonald_d(dual, with_u=False).apply(f.convert(dual, rename))
+    img = macdonald_d(dual).apply(f.convert(dual, rename))
     lowered = img.num.mono_mul(1, {"x%d" % j: -1 for j in range(1, u.n_y + 1)})
     return Frac(lowered, img.bag).convert(u, {v: k for k, v in rename.items()})
 

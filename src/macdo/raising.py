@@ -11,7 +11,7 @@ on the monomial basis: B_m m_mu is applied once per (m, mu, n) and certified
 as a polynomial column in Z[q,t] by the certificate D_1 and D(u) share.
 B_m acts only through those columns: the raising property and the iterated
 build combine them with the integral forms' coordinates, and the kernel
-identity with the kernel's coordinates e_lam(y).
+identity with the kernel's coordinates e_lam(y), against their lowerings.
 
 B_m commutes with permuting x, so it is built once per S_n orbit: b_alpha
 and the sum at T^beta are formed only for weakly decreasing alpha and beta,
@@ -184,18 +184,18 @@ def block_coeff_interp(u: VarUniverse, m: int, alpha: tuple) -> Frac:
     """Oracle: b_alpha from the interpolation-point evaluation.
 
     Substitutes y = p_alpha into the dual-lowered Cauchy kernel
-    (1/(y1..ym)) D_y(1;t,q) prod (1+x_i y_j) and divides by the vanishing
-    double product.  Independent of the closed beta-sum.
+    (1/(y1..ym)) D_y(1;t,q) prod (1+x_i y_j), the rows of :func:`kernel_rows`
+    multiplied out, and divides by the vanishing double product.
+    Independent of the closed beta-sum.
     """
     n = u.n_x
     if mi_weight(alpha) != m:
         raise ValueError("alpha must have weight m")
     uxy = universe(n, m)
-    at_p = lowered_kernel(m, n).subs_monomials(interp_assignment(uxy, alpha))
-    bag = dict(at_p.bag)
-    for f in double_poch_factors(uxy, alpha, alpha):
-        bag[f] = bag.get(f, 0) + 1
-    return Frac(at_p.num, bag).convert(u).shrink()
+    lowered = from_monomial_basis(uxy, kernel_rows(m, n)[1])
+    at_p = lowered.subs_monomials(interp_assignment(uxy, alpha))
+    return Frac.from_factors(uxy, [at_p], double_poch_factors(uxy, alpha, alpha)) \
+        .convert(u).shrink()
 
 
 # -- assembly and verification ------------------------------------------------------
@@ -335,42 +335,41 @@ def iterated_build_diff(lam, n: int) -> Frac:
 
 
 @lru_cache(maxsize=None)
-def raising_on_kernel(m: int, n: int) -> Frac:
-    """B_m acting in x on the Cauchy kernel prod (1+x_i y_j); memoized per (m, n).
+def kernel_rows(m: int, n: int) -> tuple:
+    """prod (1+x_i y_j) and L = (1/(y1..ym)) D_y(1;t,q) of it, in the m basis of x.
 
-    By the dual Cauchy identity the kernel is sum_lam m_lam(x) e_lam(y) over
-    lam_1 <= m (Macdonald, ch. I); :func:`expand_in_monomial_basis` reads
-    these coordinates off and certifies them.  The image combines them with
-    the certified columns of :func:`raising_column`, so it is a polynomial,
-    returned as a fraction with an empty bag.
+    Returns ({lam: e_lam(y)}, {lam: L e_lam(y) != 0}), memoized per (m, n): the kernel
+    is sum_lam m_lam(x) e_lam(y) over lam_1 <= m (Macdonald, ch. I), certified by
+    :func:`expand_in_monomial_basis`; L acts on y only, and ``as_poly`` certifies each row.
     """
+    coords = expand_in_monomial_basis(cauchy_kernel(universe(n, m)))
+    lowered = ((lam, dual_lowering(e).as_poly()) for lam, e in coords.items())
+    return coords, {lam: r for lam, r in lowered if not r.is_zero()}
+
+
+def _on_kernel(m: int, n: int, minus: dict) -> dict:
+    """Rows nu of B_x prod (1+x_i y_j) - minus: sum_lam e_lam(y) (B_m m_lam)_nu - minus[nu]."""
     uxy = universe(n, m)
-
-    def column(lam):
-        return {nu: c.convert(uxy) for nu, c in raising_column(m, lam, n).items()}
-    coords = expand_in_monomial_basis(cauchy_kernel(uxy))
-    return Frac(from_monomial_basis(uxy, combine_columns(uxy, coords, column, {})))
-
-
-@lru_cache(maxsize=None)
-def lowered_kernel(m: int, n: int) -> Frac:
-    """(1/(y1..ym)) D_y(1;t,q) prod (1+x_i y_j); memoized per (m, n)."""
-    return dual_lowering(cauchy_kernel(universe(n, m)))
+    return combine_columns(uxy, kernel_rows(m, n)[0], lambda lam: {
+        nu: c.convert(uxy) for nu, c in raising_column(m, lam, n).items()}, minus)
 
 
 def key_identity_diff(m: int, n: int) -> Frac:
-    """Difference of B_x prod(1+x_i y_j) and (1/(y1..ym)) D_y(1;t,q) of it."""
-    return raising_on_kernel(m, n) - lowered_kernel(m, n)
+    """Difference of B_x prod(1+x_i y_j) and (1/(y1..ym)) D_y(1;t,q) of it.
+
+    Row nu is sum_lam e_lam(y) (B_m m_lam)_nu - L e_nu(y) (:func:`kernel_rows`);
+    the m_nu(x) are independent, so the difference vanishes iff every row does.
+    """
+    return Frac(from_monomial_basis(universe(n, m), _on_kernel(m, n, kernel_rows(m, n)[1])))
 
 
 def degree_bound_check(m: int, n: int) -> bool:
     """Each y_j degree of B_x prod(1+x_i y_j) is at most n-1.
 
-    The image is a polynomial (:func:`raising_on_kernel`), so the bound is
-    read off it.  Vacuous at m = 0 where no y variables occur.
+    The m_nu(x) carry no y, so it is read off the rows; vacuous at m = 0 (no y).
     """
-    img = raising_on_kernel(m, n).as_poly()
-    return all(img.max_exp("y%d" % j) <= n - 1 for j in range(1, m + 1))
+    return all(r.max_exp("y%d" % j) <= n - 1
+               for r in _on_kernel(m, n, {}).values() for j in range(1, m + 1))
 
 
 def equivariance_check(m: int, n: int) -> bool:

@@ -205,9 +205,12 @@ def suite_keyid(max_m: int = 3, max_n: int = 3) -> list:
 
 
 def suite_cauchy(max_n: int = 3, max_weight: int = 4) -> list:
-    """Macdonald infrastructure: eigen equations, operator forms, dual pairs."""
+    """Macdonald infrastructure: eigen equations, operator forms, dual pairs.
+
+    The determinantal form of D(u) is compared only for n <= DET_MAX_N, its range.
+    """
     cases = []
-    for n in range(1, max_n + 1):
+    for n in range(1, min(max_n, mac.DET_MAX_N) + 1):
         cases.append(_bool_case(
             "cauchy", "determinantal_agreement", {"n": n},
             lambda n=n: mac.determinantal_agreement_check(n)))

@@ -45,6 +45,17 @@ def test_generating_operator_coefficient_n2():
     assert got.eq(expect)
 
 
+def test_the_universe_decides_between_d_of_u_and_d_of_1():
+    # without a u variable macdonald_d builds D(1): D(u) with u -> 1
+    for n in (1, 2, 3):
+        uu, u1 = universe(n, u=True), universe(n)
+        at_1 = {g: c.subs_monomials({"u": uu.one()}).convert(u1)
+                for g, c in macdonald_d(uu).coeffs.items()}
+        assert "u" not in u1.names
+        assert operators_agree(macdonald_d(u1), QDiffOp(u1, at_1))
+        assert not operators_agree(macdonald_d(u1), macdonald_d1(u1))
+
+
 def test_determinantal_form_matches():
     uu = universe(1, u=True)
     det = macdonald_d_det(uu)
@@ -301,7 +312,7 @@ def _cancelling_sum_cases():
     uxy = universe(2, 2)
     # D(1;q,t) on the 2x2 kernel: D_y(1;t,q) of dual_lowering after the q <-> t,
     # x <-> y renaming, which maps this kernel to itself
-    yield macdonald_d(uxy, with_u=False), cauchy_kernel(uxy)
+    yield macdonald_d(uxy), cauchy_kernel(uxy)
 
 
 def test_cancelling_sum_agrees_with_the_plain_sum():

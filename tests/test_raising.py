@@ -9,19 +9,19 @@ import macdo.algebra as algebra
 import macdo.macdonald as mac
 import macdo.raising as raising
 from macdo.algebra import Frac, NotDivisible, cauchy_kernel, frac_sum, universe
-from macdo.macdonald import (QDiffOp, from_monomial_basis, macdonald_j, macdonald_p,
-                             monomial_symmetric, x_transposition_rename)
+from macdo.macdonald import (QDiffOp, dual_lowering, from_monomial_basis, macdonald_j,
+                             macdonald_p, monomial_symmetric, x_transposition_rename)
 from macdo.partitions import Partition, box_below, partitions_of, weak_compositions
 from macdo.qbinomial import qbinom_x
 from macdo.raising import (block_coeff, block_coeff_interp, degree_bound_check,
                            equivariance_check, hall_littlewood_apply,
                            hall_littlewood_p, hall_littlewood_raising_check,
                            hall_littlewood_raising_scalar, iterated_build_diff,
-                           key_identity_diff, ladder_f_closed, ladder_f_paths,
-                           ladder_g, ladder_inverse_check, limit_q0, lowered_kernel,
+                           kernel_rows, key_identity_diff, ladder_f_closed,
+                           ladder_f_paths, ladder_g, ladder_inverse_check, limit_q0,
                            order_bound_check, raising_block, raising_block_entry,
                            raising_block_recurrence, raising_column, raising_diff,
-                           raising_on_kernel, recurrence_weight, row_raising_op)
+                           recurrence_weight, row_raising_op)
 from macdo.serialize import frac_to_obj, op_to_obj, poly_to_obj
 from macdo.suites import KEYID_PAIRS
 from sympy_util import sympy_poly
@@ -316,12 +316,28 @@ def test_degree_bound_examples():
 
 
 def test_kernel_images_are_built_once_per_pair():
-    raising_on_kernel.cache_clear()
-    lowered_kernel.cache_clear()
+    # the kernel identity, the degree bound and the interpolation oracle
+    # all read the one memoized m-basis view of the kernel
+    kernel_rows.cache_clear()
     assert key_identity_diff(1, 2).is_zero()
     assert degree_bound_check(1, 2)
-    assert raising_on_kernel.cache_info().misses == 1
-    assert lowered_kernel.cache_info().misses == 1
+    assert block_coeff_interp(U2, 1, (1, 0)).eq(block_coeff(U2, 1, (1, 0)))
+    assert kernel_rows.cache_info().misses == 1
+
+
+def _multiplied_out(m, n, rows):
+    """sum_nu rows[nu] m_nu(x) in the (x, y) universe, as a fraction."""
+    return Frac(from_monomial_basis(universe(n, m), rows))
+
+
+def _raised_kernel(m, n):
+    """B_x prod (1 + x_i y_j) from its m-basis rows, multiplied out."""
+    return _multiplied_out(m, n, raising._on_kernel(m, n, {}))
+
+
+def _lowered_kernel(m, n):
+    """(1/(y1..ym)) D_y(1;t,q) prod (1 + x_i y_j) from its rows, multiplied out."""
+    return _multiplied_out(m, n, kernel_rows(m, n)[1])
 
 
 def _direct_on_kernel(m, n):
@@ -333,9 +349,15 @@ def _direct_on_kernel(m, n):
 
 @pytest.mark.parametrize("m, n", KEYID_PAIRS)
 def test_kernel_image_through_columns_is_the_direct_apply(m, n):
-    img = raising_on_kernel(m, n)
-    assert not img.bag
-    assert img.eq(_direct_on_kernel(m, n))
+    assert _raised_kernel(m, n).eq(_direct_on_kernel(m, n))
+
+
+@pytest.mark.parametrize("m, n", KEYID_PAIRS + ((3, 3), (4, 2), (2, 4)))
+def test_lowered_rows_are_the_whole_lowered_kernel_term_for_term(m, n):
+    # oracle: the 2^m-subset D_y applied to every term of the whole kernel
+    whole = dual_lowering(cauchy_kernel(universe(n, m)))
+    assert not whole.bag
+    assert whole.num.terms == _lowered_kernel(m, n).num.terms
 
 
 def _passes_key_identity(m, n) -> bool:
@@ -346,17 +368,15 @@ def _passes_key_identity(m, n) -> bool:
 
 
 @pytest.fixture
-def fresh_kernel_caches():
-    for fn in (raising_column, raising_on_kernel):
-        fn.cache_clear()
+def fresh_columns():
+    raising_column.cache_clear()
     yield
-    for fn in (raising_column, raising_on_kernel):
-        fn.cache_clear()
+    raising_column.cache_clear()
 
 
 @pytest.mark.parametrize("m, n", [mn for mn in KEYID_PAIRS if mn[0]])
-def test_a_lifted_raising_coefficient_fails_the_key_identity(monkeypatch,
-                                                            fresh_kernel_caches, m, n):
+def test_a_lifted_raising_coefficient_fails_the_key_identity(monkeypatch, fresh_columns,
+                                                            m, n):
     # negative control: B_m with the numerator of its first or its last
     # coefficient times q must not pass through the columns
     op = row_raising_op(m, n)
@@ -366,7 +386,19 @@ def test_a_lifted_raising_coefficient_fails_the_key_identity(monkeypatch,
         monkeypatch.setattr("macdo.raising.row_raising_op", lambda *mn: lifted)
         assert not _passes_key_identity(m, n), gamma
         raising_column.cache_clear()
-        raising_on_kernel.cache_clear()
+    monkeypatch.undo()
+    assert _passes_key_identity(m, n)
+
+
+@pytest.mark.parametrize("m, n", KEYID_PAIRS)
+def test_a_lifted_lowered_row_fails_the_key_identity(monkeypatch, m, n):
+    # negative control on the lowered side: its first or its last row times q
+    coords, lowered = kernel_rows(m, n)
+    q = universe(n, m).gen("q")
+    for lam in (next(iter(lowered)), next(reversed(lowered))):
+        lifted = {nu: r * q if nu == lam else r for nu, r in lowered.items()}
+        monkeypatch.setattr("macdo.raising.kernel_rows", lambda *mn: (coords, lifted))
+        assert not _passes_key_identity(m, n), lam
     monkeypatch.undo()
     assert _passes_key_identity(m, n)
 
@@ -405,7 +437,7 @@ def test_lowered_kernel_matches_an_independent_sympy_construction():
     sp = pytest.importorskip("sympy")
     for m, n in ORACLE_PAIRS:
         image, ys = _sympy_dual_operator_on_kernel(sp, m, n)
-        assert sp.cancel(_sympy_frac(sp, lowered_kernel(m, n)) - image / ys) == 0, (m, n)
+        assert sp.cancel(_sympy_frac(sp, _lowered_kernel(m, n)) - image / ys) == 0, (m, n)
 
 
 def test_sympy_kernel_oracle_rejects_the_unlowered_image():
@@ -413,7 +445,7 @@ def test_sympy_kernel_oracle_rejects_the_unlowered_image():
     sp = pytest.importorskip("sympy")
     for m, n in ORACLE_PAIRS:
         image, _ = _sympy_dual_operator_on_kernel(sp, m, n)
-        assert sp.cancel(_sympy_frac(sp, lowered_kernel(m, n)) - image) != 0, (m, n)
+        assert sp.cancel(_sympy_frac(sp, _lowered_kernel(m, n)) - image) != 0, (m, n)
 
 
 # (2,2) is left out: its sp.cancel alone takes about a minute
@@ -444,7 +476,7 @@ def test_raising_op_on_kernel_matches_an_independent_sympy_construction():
     for m, n in OP_ORACLE_PAIRS:
         image, ys = _sympy_dual_operator_on_kernel(sp, m, n)
         assert sp.cancel(_sympy_operator_on_kernel(sp, m, n) - image / ys) == 0, (m, n)
-        assert sp.cancel(_sympy_frac(sp, raising_on_kernel(m, n)) - image / ys) == 0, (m, n)
+        assert sp.cancel(_sympy_frac(sp, _raised_kernel(m, n)) - image / ys) == 0, (m, n)
 
 
 def test_sympy_operator_oracle_rejects_a_shifted_coefficient():
@@ -454,7 +486,7 @@ def test_sympy_operator_oracle_rejects_a_shifted_coefficient():
         image, ys = _sympy_dual_operator_on_kernel(sp, m, n)
         lifted = _sympy_operator_on_kernel(sp, m, n, lift=1)
         assert sp.cancel(lifted - image / ys) != 0, (m, n)
-        assert sp.cancel(_sympy_frac(sp, raising_on_kernel(m, n)) - lifted) != 0, (m, n)
+        assert sp.cancel(_sympy_frac(sp, _raised_kernel(m, n)) - lifted) != 0, (m, n)
 
 
 def _sympy_cleared(sp, obj):

@@ -53,6 +53,17 @@ def test_keyid_pairs_obey_the_limits():
     assert {c.params["m"] for c in build_suite("keyid", max_m=0)} == {0}
 
 
+def test_cauchy_suite_compares_the_determinantal_form_only_in_its_range():
+    # macdonald_d_det refuses n = 5, so a case there would report a failed
+    # identity where none failed
+    cases = build_suite("cauchy", max_n=5, max_weight=0)
+    det = [c.params["n"] for c in cases if c.name == "determinantal_agreement"]
+    assert det == [1, 2, 3, 4]
+    assert 5 in {c.params.get("n") for c in cases}
+    reports, ok = run_cases(cases)
+    assert ok and all(r["pass"] is True for r in reports)
+
+
 def test_cases_name_the_operator_they_build():
     # the B_m a case builds on n variables is case data, which the CLI's
     # m*n cap reads; the default raising grid's iterated build needs B_4 on
