@@ -586,8 +586,12 @@ def mp_prod(u: VarUniverse, polys) -> MPoly:
     return out
 
 
+@lru_cache(maxsize=None)
 def cauchy_kernel(u: VarUniverse) -> MPoly:
-    """The dual Cauchy kernel prod_{i,j} (1 + x_i y_j) over every x and y of u."""
+    """The dual Cauchy kernel prod_{i,j} (1 + x_i y_j) over every x and y of u.
+
+    Memoized per universe; the polynomial is shared, and never mutated.
+    """
     return mp_prod(u, (u.one() + u.x(i) * u.y(j)
                        for i in range(1, u.n_x + 1) for j in range(1, u.n_y + 1)))
 

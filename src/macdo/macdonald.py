@@ -18,6 +18,7 @@ D_1 and D(u) here, B_m in ``raising``.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from .algebra import (Frac, MPoly, VarUniverse, as_frac, cauchy_kernel,
                       frac_sum, mp_prod, mp_sum, universe)
@@ -82,10 +83,13 @@ def cross_term(u: VarUniverse, K, others):
     return num.scale(sign), bag
 
 
+@lru_cache(maxsize=None)
 def macdonald_d(u: VarUniverse) -> QDiffOp:
     """The generating operator D(u;q,t) = sum_r (-u)^r D_r over 2^n subsets.
 
     On a universe without a u variable the specialization u = 1 is built.
+    Memoized per universe; the operator and its coefficient dict are shared,
+    and never mutated.
     """
     n = u.n_x
     with_u = "u" in u.names
@@ -103,8 +107,12 @@ def macdonald_d(u: VarUniverse) -> QDiffOp:
     return QDiffOp(u, coeffs)
 
 
+@lru_cache(maxsize=None)
 def macdonald_d1(u: VarUniverse) -> QDiffOp:
-    """The one-subset operator D_1 (coefficient of -u in D(u))."""
+    """The one-subset operator D_1 (coefficient of -u in D(u)).
+
+    Memoized per universe, as :func:`macdonald_d` is.
+    """
     n = u.n_x
     coeffs = {}
     for i in range(n):

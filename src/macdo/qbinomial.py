@@ -27,17 +27,22 @@ from .algebra import (Frac, MPoly, VarUniverse, cauchy_kernel, frac_sum, mp_prod
 from .partitions import mi_leq, mi_sub, mi_weight, weak_compositions
 
 
-def _ratio_base(u: VarUniverse, c: int, i: int, j: int, e: int = 0) -> MPoly:
-    """The monomial t^e q^c x_i/x_j (just t^e q^c when i == j)."""
+@lru_cache(maxsize=None)
+def _poch_family(u: VarUniverse, c: int, i: int, j: int, e: int, k: int) -> tuple:
+    """The k factors 1 - t^e q^{c+nu} x_i/x_j, nu < k, of (t^e q^c x_i/x_j; q)_k.
+
+    x_i/x_j is left out when i == j.  The one builder of every Pochhammer
+    family here, memoized per (universe, c, i, j, e, k); the tuple is shared.
+    """
     exps = {"q": c, "t": e}
     if i != j:
         exps["x%d" % i] = 1
         exps["x%d" % j] = -1
-    return u.mono(1, exps)
+    return tuple(qpoch_factors(u.mono(1, exps), k))
 
 
 def double_poch_factors(u: VarUniverse, a: tuple, b: tuple, k: tuple | None = None,
-                        e: int = 0) -> list:
+                        e: int = 0) -> tuple:
     """The binomial factors of prod_{i,j} (t^e q^{a_i-b_j+1} x_i/x_j; q)_{k_j}.
 
     ``k`` defaults to ``b``.  This one double product builds both sides of
@@ -46,9 +51,8 @@ def double_poch_factors(u: VarUniverse, a: tuple, b: tuple, k: tuple | None = No
     """
     n = len(a)
     k = b if k is None else k
-    return [f for i in range(1, n + 1) for j in range(1, n + 1)
-            for f in qpoch_factors(_ratio_base(u, a[i - 1] - b[j - 1] + 1, i, j, e),
-                                   k[j - 1])]
+    return tuple(f for i in range(1, n + 1) for j in range(1, n + 1)
+                 for f in _poch_family(u, a[i - 1] - b[j - 1] + 1, i, j, e, k[j - 1]))
 
 
 @lru_cache(maxsize=None)
@@ -201,8 +205,8 @@ def chu_vandermonde_diff(alpha: tuple, k: int) -> Frac:
                 if i == j:
                     continue
                 mj = mu[j - 1]
-                num += qpoch_factors(_ratio_base(u, alpha[i - 1] - mj + 1, i, j), mj)
-                den += qpoch_factors(_ratio_base(u, mu[i - 1] - mj + 1, i, j), mj)
+                num += _poch_family(u, alpha[i - 1] - mj + 1, i, j, 0, mj)
+                den += _poch_family(u, mu[i - 1] - mj + 1, i, j, 0, mj)
         terms.append(Frac.from_factors(u, num, den))
     return frac_sum(u, terms) - ordinary_qbinom(u, mi_weight(alpha), k)
 

@@ -1,6 +1,7 @@
 """Macdonald operators, P and J polynomials, and the dual-pair checks."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -13,8 +14,8 @@ from macdo.macdonald import (QDiffOp, cauchy_diff, d1_eigenvalue,
                              lowering_diff, macdonald_d,
                              macdonald_d1, macdonald_d_det, macdonald_j,
                              macdonald_p, monomial_symmetric, operators_agree)
-from macdo.partitions import Partition, partitions_of
-from macdo.raising import row_raising_op
+from macdo.partitions import Partition, memo_per_partition, partitions_of
+from macdo.raising import kernel_rows, row_raising_op
 from macdo.serialize import sympoly_to_obj
 from sympy_util import sympy_poly
 
@@ -272,6 +273,74 @@ def test_triangular_columns_refuse_a_broken_image(monkeypatch, operator, extra, 
     monkeypatch.undo()  # the operators themselves pass
     mac.d1_column.__wrapped__(mu, n)
     mac.d_u_column.__wrapped__(mu, n)
+
+
+def _same_poly(a, b):
+    """a and b carry the same universe and the same terms, in the same order."""
+    return a.u is b.u and list(a.terms.items()) == list(b.terms.items())
+
+
+def _same_op(a, b):
+    """a and b carry the same shifts in the same order, field for field."""
+    return a.u is b.u and list(a.coeffs) == list(b.coeffs) and all(
+        _same_poly(c.num, b.coeffs[g].num) and c.bag == b.coeffs[g].bag
+        for g, c in a.coeffs.items())
+
+
+MEMO_UNIVERSES = [universe(2), universe(3), universe(2, u=True), universe(3, u=True),
+                  universe(2, 2), universe(2, 3), universe(1, 2, u=True)]
+
+
+@pytest.mark.parametrize("u", MEMO_UNIVERSES, ids=repr)
+def test_operator_and_kernel_tables_hand_out_the_uncached_build(u):
+    for build in (macdonald_d, macdonald_d1):
+        op = build(u)
+        assert _same_op(op, build.__wrapped__(u))
+        assert build(u) is op
+    kernel = cauchy_kernel(u)
+    assert _same_poly(kernel, cauchy_kernel.__wrapped__(u))
+    assert cauchy_kernel(u) is kernel
+
+
+def test_a_perturbed_operator_leaves_the_cached_one_intact():
+    # runs after test_triangular_columns_refuse_a_broken_image, whose
+    # _perturbed copies the cached coefficient dict and edits the copy
+    for u, build in ((universe(2, u=True), macdonald_d), (universe(2), macdonald_d1)):
+        assert _same_op(build(u), build.__wrapped__(u))
+
+
+def _count_cross_terms(monkeypatch):
+    """Count calls of cross_term per universe from here on."""
+    calls = Counter()
+    real = mac.cross_term
+
+    def counted(u, K, others):
+        calls[u] += 1
+        return real(u, K, others)
+
+    monkeypatch.setattr(mac, "cross_term", counted)
+    return calls
+
+
+def test_eigen_checks_build_d_of_u_once_per_universe(monkeypatch):
+    # every column of D(u) on n = 3 reads the one operator: 8 subsets, once
+    monkeypatch.setattr(mac, "d_u_column", memo_per_partition(mac.d_u_column.__wrapped__))
+    macdonald_d.cache_clear()
+    calls = _count_cross_terms(monkeypatch)
+    for d in range(4):
+        for lam in partitions_of(d, max_len=3):
+            assert eigen_diff(lam, 3).is_zero()
+    assert calls[universe(3, u=True)] == 8
+
+
+def test_kernel_rows_build_d_of_1_once(monkeypatch):
+    # every lowered row of (2, 3) reads the one D(1) on the dual universe
+    # universe(2, 3): 4 subsets, built once and not once per row
+    kernel_rows.cache_clear()
+    macdonald_d.cache_clear()
+    calls = _count_cross_terms(monkeypatch)
+    assert len(kernel_rows(2, 3)[1]) > 1
+    assert calls == Counter({universe(2, 3): 4})
 
 
 def test_cauchy_examples():

@@ -1,5 +1,6 @@
 """The x-dependent q-binomial coefficient and its identity family."""
 
+import itertools
 from collections import Counter
 from math import comb
 
@@ -51,6 +52,25 @@ def test_qbinom_x_agrees_with_the_uncancelled_construction():
                     plain = Frac(mp_prod(u, double_poch_factors(u, alpha, beta)),
                                  Counter(double_poch_factors(u, beta, beta)))
                     assert qbinom_x(u, alpha, beta).eq(plain), (alpha, beta)
+
+
+def test_pochhammer_family_table_hands_out_the_uncached_build():
+    # the memoized family is a shared tuple equal to a fresh build, factor
+    # for factor, and each factor is 1 - t^e q^(c+nu) x_i/x_j, nu < k
+    family = qbinomial._poch_family
+    for u in (U2, universe(2, 1, u=True)):
+        for c, i, j, e, k in itertools.product((-1, 0, 2), (1, 2), (1, 2), (0, 1),
+                                               (0, 1, 3)):
+            got = family(u, c, i, j, e, k)
+            fresh = family.__wrapped__(u, c, i, j, e, k)
+            assert isinstance(got, tuple) and isinstance(fresh, tuple)
+            assert [list(f.terms.items()) for f in got] == \
+                [list(f.terms.items()) for f in fresh]
+            assert family(u, c, i, j, e, k) is got
+            ratio = Counter({"x%d" % i: 1})
+            ratio["x%d" % j] -= 1
+            want = [u.one() - u.mono(1, {"q": c + nu, "t": e, **ratio}) for nu in range(k)]
+            assert list(got) == want, (c, i, j, e, k)
 
 
 def test_interp_point_examples():
