@@ -10,9 +10,13 @@ D(1;q,t) on the renamed variables, which is how :func:`dual_lowering` and
 the P_lam(y;t,q) of the Cauchy checks are obtained.  The integral forms J
 are their m-basis coordinates in Z[q,t], from a fraction-free
 dominance-triangular solve against the one-subset operator D_1, each
-coordinate one exact division; P is J / c_lam in lowest terms.  One certificate
-(:func:`certified_column`) vouches for every m-basis column of an operator:
-D_1 and D(u) here, B_m in ``raising``.
+coordinate one exact division; P is J / c_lam in lowest terms.  The m-basis
+columns of D_1 and D(u) are read off the determinantal form (ch. VI (3.2)):
+D m_mu is a signed sum of Schur polynomials, one symbol per point of the S_n
+orbit of mu, over a memoized Schur table certified by exact division of the
+bialternant.  No fraction is summed for them.  The columns of B_m in
+``raising`` are images of :meth:`QDiffOp.apply`, certified by
+:func:`certified_column`.
 """
 
 from __future__ import annotations
@@ -48,11 +52,12 @@ class QDiffOp:
         (see :func:`frac_sum`), so the image's bag may be smaller than the
         union of the coefficients' bags.  The sum also orients each binomial
         pole 1 + c X^v on q and x (c = +-1) so that X^v lies above 1, but
-        here that changes no factor: the poles x_i - x_j of D_1 and D(u)
+        here that changes no factor: the poles x_i - x_j of D(u) and D(1)
         keep their form, and B_m's coefficients are stored in lowest terms
         (:meth:`Frac.lowest`), whose pieces are already oriented.  The
         orientation acts in the B_m build and in the graded q-binomial sums,
-        whose terms carry both orientations of a pole.
+        whose terms carry both orientations of a pole.  The m-basis columns
+        of D_1 and D(u) do not come through here (:func:`d1_column`).
         """
         f = as_frac(self.u, f)
         terms = []
@@ -107,22 +112,6 @@ def macdonald_d(u: VarUniverse) -> QDiffOp:
     return QDiffOp(u, coeffs)
 
 
-@lru_cache(maxsize=None)
-def macdonald_d1(u: VarUniverse) -> QDiffOp:
-    """The one-subset operator D_1 (coefficient of -u in D(u)).
-
-    Memoized per universe, as :func:`macdonald_d` is.
-    """
-    n = u.n_x
-    coeffs = {}
-    for i in range(n):
-        others = [j for j in range(n) if j != i]
-        num, bag = cross_term(u, [i], others)
-        gamma = tuple(1 if j == i else 0 for j in range(n))
-        coeffs[gamma] = Frac(num, bag)
-    return QDiffOp(u, coeffs)
-
-
 # the determinantal form expands n! permutations times 2^n subsets
 DET_MAX_N = 4
 
@@ -138,11 +127,6 @@ def macdonald_d_det(u: VarUniverse) -> QDiffOp:
     if n > DET_MAX_N:
         raise ValueError("determinantal expansion is a desk-scale cross-check (n <= %d)"
                          % DET_MAX_N)
-    delta_bag = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            f = u.x(i + 1) - u.x(j + 1)
-            delta_bag[f] = delta_bag.get(f, 0) + 1
     nums = {}
     for w in itertools.permutations(range(n)):
         eps = _perm_sign(w)
@@ -161,8 +145,14 @@ def macdonald_d_det(u: VarUniverse) -> QDiffOp:
             mono = u.mono(eps * (-1) ** len(K), exps)
             g = tuple(gamma)
             nums[g] = nums.get(g, u.zero()) + mono
-    coeffs = {g: Frac(num, dict(delta_bag)) for g, num in nums.items()}
+    coeffs = {g: Frac(num, _vandermonde_bag(u)) for g, num in nums.items()}
     return QDiffOp(u, coeffs)
+
+
+def _vandermonde_bag(u: VarUniverse) -> dict:
+    """The factors x_i - x_j, i < j, of a_delta = prod_{i<j} (x_i - x_j)."""
+    n = u.n_x
+    return {u.x(i) - u.x(j): 1 for i in range(1, n + 1) for j in range(i + 1, n + 1)}
 
 
 def _perm_sign(w) -> int:
@@ -256,15 +246,9 @@ def eigenvalue_u(u: VarUniverse, lam: Partition) -> MPoly:
                        for i, m in enumerate(lam.padded(n), start=1)))
 
 
-def certified_column(op: QDiffOp, name: str, mu: Partition, top: Partition) -> dict:
-    """The m-basis column op(m_mu) as {nu: coefficient}, certified below ``top``.
-
-    The image of :meth:`QDiffOp.apply` must be a polynomial (``as_poly``)
-    and symmetric (:func:`expand_in_monomial_basis`), and every nu in it
-    must have the weight of ``top`` and be dominated by it; AssertionError
-    otherwise, naming the operator by ``name``.
-    """
-    col = expand_in_monomial_basis(op.apply(monomial_symmetric(op.u, mu)).as_poly())
+def _check_below(name: str, mu: Partition, top: Partition, col: dict) -> dict:
+    """col, an m-basis column of ``name`` on m_mu, if every nu in it has the
+    weight of ``top`` and is dominated by it; AssertionError otherwise."""
     for nu in col:
         if nu.weight() != top.weight() or not top.dominates(nu):
             raise AssertionError("%s m_(%s) has m_(%s) outside the dominance order "
@@ -273,9 +257,80 @@ def certified_column(op: QDiffOp, name: str, mu: Partition, top: Partition) -> d
     return col
 
 
-def _eigen_column(op: QDiffOp, name: str, mu: Partition, eigenvalue: MPoly) -> dict:
-    """:func:`certified_column` below mu, whose entry at mu must be ``eigenvalue``."""
-    col = certified_column(op, name, mu, mu)
+def certified_column(op: QDiffOp, name: str, mu: Partition, top: Partition) -> dict:
+    """The m-basis column op(m_mu) as {nu: coefficient}, certified below ``top``.
+
+    The image of :meth:`QDiffOp.apply` must be a polynomial (``as_poly``)
+    and symmetric (:func:`expand_in_monomial_basis`), and every nu in it
+    must have the weight of ``top`` and be dominated by it; AssertionError
+    otherwise, naming the operator by ``name``.
+    """
+    img = op.apply(monomial_symmetric(op.u, mu)).as_poly()
+    return _check_below(name, mu, top, expand_in_monomial_basis(img))
+
+
+def _bialternant(u: VarUniverse, exps) -> MPoly:
+    """a_exps = sum_w eps(w) x^{w(exps)}, the alternant det(x_i^{exps_j})."""
+    n = u.n_x
+    return mp_sum(u, (u.mono(_perm_sign(w), {"x%d" % (w[j] + 1): e
+                                             for j, e in enumerate(exps) if e})
+                      for w in itertools.permutations(range(n))))
+
+
+@memo_per_partition
+def schur_column(lam: Partition, n: int) -> dict:
+    """s_lam in the m basis of n variables: {nu: integer}, the Kostka numbers.
+
+    s_lam is the bialternant a_{lam+delta} over a_delta = prod_{i<j} (x_i - x_j)
+    (Macdonald, ch. I (3.1)).  Each factor x_i - x_j must divide exactly
+    (``as_poly`` raises NotDivisible otherwise), and the quotient must be
+    symmetric (:func:`expand_in_monomial_basis` raises ValueError otherwise).
+    Memoized per (lam, n); the cached dict is never mutated.
+    """
+    u = universe(n)
+    exps = [p + n - 1 - i for i, p in enumerate(lam.padded(n))]
+    col = expand_in_monomial_basis(Frac(_bialternant(u, exps), _vandermonde_bag(u)).as_poly())
+    # a_{lam+delta} has only x exponents, so each coefficient is a constant
+    return {nu: c.terms[u.one_key] for nu, c in col.items()}
+
+
+def _d1_symbol(u: VarUniverse, kappa: tuple) -> MPoly:
+    """sum_i t^{n-i} q^{kappa_i}, the factor D_1 puts on x^{kappa+delta}."""
+    n = len(kappa)
+    return mp_sum(u, (u.mono(1, {"q": k, "t": n - 1 - i}) for i, k in enumerate(kappa)))
+
+
+def _d_u_symbol(u: VarUniverse, kappa: tuple) -> MPoly:
+    """prod_i (1 - u t^{n-i} q^{kappa_i}), the factor D(u) puts on x^{kappa+delta}."""
+    n = len(kappa)
+    return mp_prod(u, (u.one() - u.mono(1, {"u": 1, "q": k, "t": n - 1 - i})
+                       for i, k in enumerate(kappa)))
+
+
+def _alternant_column(u: VarUniverse, name: str, mu: Partition, symbol,
+                      eigenvalue: MPoly) -> dict:
+    """D m_mu = sum_kappa eps_kappa symbol(kappa) s_{lam(kappa)} in the m basis.
+
+    kappa runs over the S_n orbit of mu; sorting kappa + delta gives
+    lam(kappa) + delta with sign eps_kappa, and kappa is skipped when
+    kappa + delta repeats an entry, since its alternant vanishes.  The
+    symbols are summed per lam and combined with :func:`schur_column`.  The
+    column must lie in weight |mu| below mu (:func:`_check_below`), and its
+    entry at mu must be ``eigenvalue``; AssertionError otherwise.
+    """
+    n = u.n_x
+    delta = range(n - 1, -1, -1)
+    coords = {}
+    for kappa in sorted(set(itertools.permutations(mu.padded(n)))):
+        shifted = [k + d for k, d in zip(kappa, delta)]
+        if len(set(shifted)) < n:
+            continue
+        order = sorted(range(n), key=shifted.__getitem__, reverse=True)
+        lam = Partition(shifted[i] - d for i, d in zip(order, delta))
+        coords.setdefault(lam, []).append(symbol(u, kappa).scale(_perm_sign(order)))
+    coords = {lam: mp_sum(u, s) for lam, s in coords.items()}
+    col = _check_below(name, mu, mu, combine_columns(
+        u, coords, lambda lam: schur_column(lam, n), {}))
     if col.get(mu) != eigenvalue:
         raise AssertionError("%s diagonal entry is not the eigenvalue" % name)
     return col
@@ -295,12 +350,17 @@ def integral_form_scalar(u: VarUniverse, lam: Partition) -> MPoly:
 def d1_column(mu: Partition, n: int) -> dict:
     """D_1 m_mu in the m basis of n variables: {nu: coefficient in q, t}.
 
-    Certified below mu with diagonal entry sum_i q^{mu_i} t^{n-i}
-    (:func:`_eigen_column`).  Memoized per (mu, n), so each J solve above mu
-    reads one certificate; the cached dict is never mutated.
+    Read off the determinantal form (Macdonald, ch. VI (3.2)): D_1 sends
+    x^kappa to A(x^{kappa+delta}) / a_delta times sum_i t^{n-i} q^{kappa_i},
+    and A(x^{kappa+delta}) / a_delta is +-s_lam, so the column is a signed
+    sum of Schur columns, each the bialternant divided exactly by
+    a_delta (:func:`_alternant_column`, :func:`schur_column`).  Certified
+    below mu with diagonal entry sum_i q^{mu_i} t^{n-i}.  Memoized per
+    (mu, n), so each J solve above mu reads one certificate; the cached
+    dict is never mutated.
     """
     u = universe(n)
-    return _eigen_column(macdonald_d1(u), "D_1", mu, d1_eigenvalue(u, mu))
+    return _alternant_column(u, "D_1", mu, _d1_symbol, d1_eigenvalue(u, mu))
 
 
 @memo_per_partition
@@ -352,13 +412,14 @@ def _p_in_x(lam: Partition, n: int) -> Frac:
 def d_u_column(mu: Partition, n: int) -> dict:
     """D(u) m_mu in the m basis of n variables: {nu: coefficient in q, t, u}.
 
-    D(u) is triangular on the monomial basis with diagonal entry
-    prod_i (1 - u q^{mu_i} t^{n-i}) (Macdonald, ch. VI); both are certified
-    as :func:`d1_column` certifies them for D_1.  Memoized per (mu, n); the
-    cached dict is never mutated.
+    Read off the determinantal form (Macdonald, ch. VI (3.2)) as
+    :func:`d1_column` is, with the symbol prod_i (1 - u t^{n-i} q^{kappa_i})
+    on the bialternant of kappa + delta.  D(u) is triangular on the monomial
+    basis with diagonal entry prod_i (1 - u q^{mu_i} t^{n-i}); both are
+    certified.  Memoized per (mu, n); the cached dict is never mutated.
     """
     uu = universe(n, u=True)
-    return _eigen_column(macdonald_d(uu), "D(u)", mu, eigenvalue_u(uu, mu))
+    return _alternant_column(uu, "D(u)", mu, _d_u_symbol, eigenvalue_u(uu, mu))
 
 
 def combine_columns(u: VarUniverse, coords: dict, column, minus: dict) -> dict:

@@ -6,18 +6,29 @@ from collections import Counter
 import pytest
 
 from macdo import macdonald as mac
-from macdo.algebra import Frac, NotDivisible, cauchy_kernel, frac_sum, try_div, universe
-from macdo.macdonald import (QDiffOp, cauchy_diff, d1_eigenvalue,
-                             determinantal_agreement_check, dual_lowering,
+from macdo.algebra import (Frac, NotDivisible, cauchy_kernel, frac_sum, mp_prod, mp_sum,
+                           try_div, universe)
+from macdo.macdonald import (QDiffOp, cauchy_diff, certified_column, d1_column, d1_eigenvalue,
+                             d_u_column, determinantal_agreement_check, dual_lowering,
                              eigen_diff, eigenvalue_u, expand_in_monomial_basis,
                              from_monomial_basis, integral_form_scalar, is_symmetric_frac,
-                             lowering_diff, macdonald_d,
-                             macdonald_d1, macdonald_d_det, macdonald_j,
-                             macdonald_p, monomial_symmetric, operators_agree)
+                             lowering_diff, macdonald_d, macdonald_d_det, macdonald_j,
+                             macdonald_p, monomial_symmetric, operators_agree, schur_column)
 from macdo.partitions import Partition, memo_per_partition, partitions_of
 from macdo.raising import kernel_rows, row_raising_op
 from macdo.serialize import sympoly_to_obj
 from sympy_util import sympy_poly
+
+
+def _d1_operator(u):
+    """The one-subset operator D_1 in subset form: the shift T_{q,x_i} with
+    coefficient prod_{j != i} (x_j - t x_i)/(x_j - x_i), for each i."""
+    n = u.n_x
+    coeffs = {}
+    for i in range(n):
+        num, bag = mac.cross_term(u, [i], [j for j in range(n) if j != i])
+        coeffs[tuple(int(j == i) for j in range(n))] = Frac(num, bag)
+    return QDiffOp(u, coeffs)
 
 
 def test_apply_identity_and_single_shift():
@@ -54,7 +65,7 @@ def test_the_universe_decides_between_d_of_u_and_d_of_1():
                 for g, c in macdonald_d(uu).coeffs.items()}
         assert "u" not in u1.names
         assert operators_agree(macdonald_d(u1), QDiffOp(u1, at_1))
-        assert not operators_agree(macdonald_d(u1), macdonald_d1(u1))
+        assert not operators_agree(macdonald_d(u1), _d1_operator(u1))
 
 
 def test_determinantal_form_matches():
@@ -152,13 +163,13 @@ def test_j_solves_certify_each_d1_column_once(monkeypatch):
     # J_(2,1) and J_(3) on n = 3 share the columns D_1 m_(2,1) and
     # D_1 m_(1,1,1); the second solve reads them from d1_column's memo
     certified = []
-    real = mac._eigen_column
+    real = mac._alternant_column
 
-    def counting(op, name, mu, eigenvalue):
+    def counting(u, name, mu, symbol, eigenvalue):
         certified.append((name, mu))
-        return real(op, name, mu, eigenvalue)
+        return real(u, name, mu, symbol, eigenvalue)
 
-    monkeypatch.setattr(mac, "_eigen_column", counting)
+    monkeypatch.setattr(mac, "_alternant_column", counting)
     macdonald_j.__wrapped__(Partition((2, 1)), 3)
     del certified[:]
     macdonald_j.__wrapped__(Partition((3,)), 3)
@@ -237,40 +248,35 @@ def test_eigenvalue_structure():
 
 def test_d1_diagonal_entries():
     u = universe(2)
-    d1 = macdonald_d1(u)
+    d1 = _d1_operator(u)
     img = d1.apply(monomial_symmetric(u, Partition((2,)))).as_poly()
     exp = expand_in_monomial_basis(img)
     assert exp[Partition((2,))] == d1_eigenvalue(u, Partition((2,)))
 
 
-def _perturbed(op, extra):
-    """op plus the multiplication by ``extra``, added to its shift-free term."""
-    coeffs = dict(op.coeffs)
-    g = (0,) * op.u.n_x
-    coeffs[g] = coeffs.get(g, Frac(op.u.zero())) + Frac(extra)
-    return QDiffOp(op.u, coeffs)
-
-
 @pytest.mark.parametrize("operator", ["D_1", "D(u)"])
 @pytest.mark.parametrize("extra, message", [
-    ("x1/x2 + x2/x1", "outside the dominance order"),  # adds m_(2) to D m_(1,1)
-    ("1", "diagonal entry is not the eigenvalue"),      # adds m_(1,1) itself
+    ((2,), "outside the dominance order"),              # s_(1,1) gains m_(2)
+    ((1, 1), "diagonal entry is not the eigenvalue"),  # s_(1,1) counts m_(1,1) twice
 ], ids=["dominance", "diagonal"])
 def test_triangular_columns_refuse_a_broken_image(monkeypatch, operator, extra, message):
-    # negative control: the shared column certificate refuses an image of
-    # m_(1,1) that leaves the dominance order or has the wrong diagonal
+    # negative control: on n = 2 the orbit of (1,1) is one point, so D m_(1,1)
+    # is its symbol times s_(1,1); a Schur table whose s_(1,1) leaves the
+    # dominance order or has the wrong diagonal must be refused
     n, mu = 2, Partition((1, 1))
-    if operator == "D_1":
-        u, build, name = universe(n), mac.macdonald_d1, "macdonald_d1"
-    else:
-        u, build, name = universe(n, u=True), mac.macdonald_d, "macdonald_d"
-    term = (u.one() if extra == "1" else
-            u.mono(1, {"x1": 1, "x2": -1}) + u.mono(1, {"x1": -1, "x2": 1}))
-    monkeypatch.setattr(mac, name, lambda uu: _perturbed(build(uu), term))
+    real = mac.schur_column
+
+    def broken(lam, n_):
+        col = dict(real(lam, n_))
+        if (lam, n_) == (mu, n):
+            col[Partition(extra)] = col.get(Partition(extra), 0) + 1
+        return col
+
+    monkeypatch.setattr(mac, "schur_column", broken)
     column = mac.d1_column if operator == "D_1" else mac.d_u_column
     with pytest.raises(AssertionError, match=message):
         column.__wrapped__(mu, n)
-    monkeypatch.undo()  # the operators themselves pass
+    monkeypatch.undo()  # the true table passes
     mac.d1_column.__wrapped__(mu, n)
     mac.d_u_column.__wrapped__(mu, n)
 
@@ -293,20 +299,24 @@ MEMO_UNIVERSES = [universe(2), universe(3), universe(2, u=True), universe(3, u=T
 
 @pytest.mark.parametrize("u", MEMO_UNIVERSES, ids=repr)
 def test_operator_and_kernel_tables_hand_out_the_uncached_build(u):
-    for build in (macdonald_d, macdonald_d1):
-        op = build(u)
-        assert _same_op(op, build.__wrapped__(u))
-        assert build(u) is op
+    op = macdonald_d(u)
+    assert _same_op(op, macdonald_d.__wrapped__(u))
+    assert macdonald_d(u) is op
     kernel = cauchy_kernel(u)
     assert _same_poly(kernel, cauchy_kernel.__wrapped__(u))
     assert cauchy_kernel(u) is kernel
+    for lam in partitions_of(4, max_len=u.n_x):
+        col = schur_column(lam, u.n_x)
+        assert col == schur_column.__wrapped__(lam, u.n_x)
+        assert schur_column(lam, u.n_x) is col
 
 
 def test_a_perturbed_operator_leaves_the_cached_one_intact():
-    # runs after test_triangular_columns_refuse_a_broken_image, whose
-    # _perturbed copies the cached coefficient dict and edits the copy
-    for u, build in ((universe(2, u=True), macdonald_d), (universe(2), macdonald_d1)):
-        assert _same_op(build(u), build.__wrapped__(u))
+    # runs after test_triangular_columns_refuse_a_broken_image, whose broken
+    # Schur table copies the cached s_(1,1) column and edits the copy
+    u = universe(2, u=True)
+    assert _same_op(macdonald_d(u), macdonald_d.__wrapped__(u))
+    assert schur_column(Partition((1, 1)), 2) == {Partition((1, 1)): 1}
 
 
 def _count_cross_terms(monkeypatch):
@@ -322,15 +332,17 @@ def _count_cross_terms(monkeypatch):
     return calls
 
 
-def test_eigen_checks_build_d_of_u_once_per_universe(monkeypatch):
-    # every column of D(u) on n = 3 reads the one operator: 8 subsets, once
-    monkeypatch.setattr(mac, "d_u_column", memo_per_partition(mac.d_u_column.__wrapped__))
+def test_eigen_checks_build_no_subset_operator(monkeypatch):
+    # the columns of D(u) and D_1 on n = 3 are read off the alternant, so the
+    # eigen checks and the J solves under them build no subset operator
+    for name in ("d_u_column", "d1_column", "macdonald_j"):
+        monkeypatch.setattr(mac, name, memo_per_partition(getattr(mac, name).__wrapped__))
     macdonald_d.cache_clear()
     calls = _count_cross_terms(monkeypatch)
     for d in range(4):
         for lam in partitions_of(d, max_len=3):
             assert eigen_diff(lam, 3).is_zero()
-    assert calls[universe(3, u=True)] == 8
+    assert calls == Counter()
 
 
 def test_kernel_rows_build_d_of_1_once(monkeypatch):
@@ -341,6 +353,83 @@ def test_kernel_rows_build_d_of_1_once(monkeypatch):
     calls = _count_cross_terms(monkeypatch)
     assert len(kernel_rows(2, 3)[1]) > 1
     assert calls == Counter({universe(2, 3): 4})
+
+
+def test_alternant_columns_equal_the_subset_form_images():
+    # oracle: each column read off the alternant equals, as a value, the
+    # certified image of m_mu under the subset-form operator
+    cases = 0
+    for n in (1, 2, 3, 4):
+        u, uu = universe(n), universe(n, u=True)
+        for d in range(7):
+            for mu in partitions_of(d, max_len=n):
+                assert d1_column(mu, n) == certified_column(_d1_operator(u), "D_1", mu, mu)
+                if d <= 5:
+                    assert d_u_column(mu, n) == certified_column(macdonald_d(uu), "D(u)", mu, mu)
+                cases += 1
+    assert cases == 73
+
+
+def _ssyt_contents(lam, n):
+    """Counter of the contents (#1s, .., #ns) of the semistandard tableaux
+    of shape lam with entries 1..n, enumerated cell by cell."""
+    cells = [(i, j) for i, row in enumerate(lam) for j in range(row)]
+    filling = {}
+
+    def fill(k):
+        if k == len(cells):
+            values = list(filling.values())
+            yield tuple(values.count(e) for e in range(1, n + 1))
+            return
+        i, j = cells[k]
+        # rows weakly increase, columns strictly increase
+        for v in range(max(filling.get((i, j - 1), 1), filling.get((i - 1, j), 0) + 1), n + 1):
+            filling[(i, j)] = v
+            yield from fill(k + 1)
+        filling.pop((i, j), None)
+
+    return Counter(fill(0))
+
+
+def test_schur_columns_are_kostka_numbers():
+    # s_lam = sum_nu K_{lam,nu} m_nu, K_{lam,nu} the number of semistandard
+    # tableaux of shape lam and content nu
+    for n in (1, 2, 3, 4):
+        for d in range(7):
+            for lam in partitions_of(d, max_len=n):
+                kostka = {Partition(c): k for c, k in _ssyt_contents(lam, n).items()
+                          if list(c) == sorted(c, reverse=True)}
+                assert schur_column(lam, n) == kostka, (lam, n)
+
+
+def test_schur_column_refuses_a_bialternant_short_of_a_vandermonde_factor(monkeypatch):
+    # negative control: a_{lam+delta} / (x1 - x2) is not divisible by a_delta
+    real = mac._bialternant
+    monkeypatch.setattr(mac, "_bialternant",
+                        lambda u, exps: try_div(real(u, exps), u.x(1) - u.x(2)))
+    with pytest.raises(NotDivisible):
+        schur_column.__wrapped__(Partition((2, 1)), 3)
+    monkeypatch.undo()  # the true bialternant passes
+    assert schur_column.__wrapped__(Partition((2, 1)), 3) == {
+        Partition((2, 1)): 1, Partition((1, 1, 1)): 2}
+
+
+@pytest.mark.parametrize("operator, symbol", [
+    ("D_1", lambda u, kappa: mp_sum(u, (u.mono(1, {"q": k, "t": i})
+                                       for i, k in enumerate(kappa)))),
+    ("D(u)", lambda u, kappa: mp_prod(u, (u.one() - u.mono(1, {"u": 1, "q": k, "t": i})
+                                          for i, k in enumerate(kappa)))),
+], ids=["D_1", "D(u)"])
+def test_a_symbol_with_reversed_t_powers_fails_the_diagonal_check(monkeypatch, operator,
+                                                                   symbol):
+    # negative control: t^(i-1) in place of t^(n-i) in the symbol at x^kappa
+    name, column = (("_d1_symbol", d1_column) if operator == "D_1"
+                    else ("_d_u_symbol", d_u_column))
+    monkeypatch.setattr(mac, name, symbol)
+    with pytest.raises(AssertionError, match="diagonal entry is not the eigenvalue"):
+        column.__wrapped__(Partition((2, 1)), 3)
+    monkeypatch.undo()  # the true symbol passes
+    column.__wrapped__(Partition((2, 1)), 3)
 
 
 def test_cauchy_examples():
@@ -377,7 +466,7 @@ def _cancelling_sum_cases():
     u3 = universe(3)
     for d in range(4):
         for mu in partitions_of(d, max_len=3):
-            yield macdonald_d1(u3), monomial_symmetric(u3, mu)
+            yield _d1_operator(u3), monomial_symmetric(u3, mu)
     uxy = universe(2, 2)
     # D(1;q,t) on the 2x2 kernel: D_y(1;t,q) of dual_lowering after the q <-> t,
     # x <-> y renaming, which maps this kernel to itself
