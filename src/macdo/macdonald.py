@@ -1,28 +1,24 @@
 """Macdonald q-difference operators and the polynomials they single out.
 
-Every operator here acts on the x variables by q-shifts.  The generating
-operator D(u) is assembled over subsets K of the x variables with the
-cleared cross-ratio (x_j - t x_i)/(x_j - x_i); its determinantal form is an
-independent construction used as a cross-check.  The operator D_y(1;t,q) of
-the dual side is not built separately: by the duality q <-> t, x <-> y
-(Macdonald, Symmetric Functions and Hall Polynomials, ch. VI) it is
-D(1;q,t) on the renamed variables, which is how :func:`dual_lowering` and
-the P_lam(y;t,q) of the Cauchy checks are obtained.  The integral forms J
-are their m-basis coordinates in Z[q,t], from a fraction-free
-dominance-triangular solve against the one-subset operator D_1, each
-coordinate one exact division; P is J / c_lam in lowest terms.  The m-basis
-columns of D_1 and D(u) are read off the determinantal form (ch. VI (3.2)):
-D m_mu is a signed sum of Schur polynomials, one symbol per point of the S_n
-orbit of mu, over a memoized Schur table certified by exact division of the
-bialternant.  No fraction is summed for them.  The columns of B_m in
-``raising`` are images of :meth:`QDiffOp.apply`, certified by
+Every operator here acts on the x variables by q-shifts.  The subset form of
+D(u), over subsets K of the x variables with the cleared cross-ratio
+(x_j - t x_i)/(x_j - x_i), and its determinantal form cross-check each
+other.  Verdicts apply D_1, D(u) and D(1) only through m-basis columns read
+off the determinantal form (Macdonald, Symmetric Functions and Hall
+Polynomials, ch. VI (3.2)), with no fraction summed: D m_mu is a signed sum
+of Schur polynomials, one symbol per point of the S_n orbit of mu, over a
+Schur table certified by exact division of the bialternant.  By the duality
+q <-> t, x <-> y (ch. VI), the lowering L = D_y(1;t,q)/(y1..ym) is
+:func:`lowering_column` and P_lam(y;t,q) is P_lam(x;q,t) renamed.  The
+integral forms J are m-basis coordinates in Z[q,t] from a fraction-free
+triangular solve against D_1; P is J / c_lam in lowest terms.  The columns
+of B_m in ``raising`` are images of :meth:`QDiffOp.apply`, certified by
 :func:`certified_column`.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 from .algebra import (Frac, MPoly, VarUniverse, as_frac, cauchy_kernel,
                       frac_sum, mp_prod, mp_sum, universe)
@@ -50,14 +46,11 @@ class QDiffOp:
 
         The sum cancels shared two-term denominator factors as it merges
         (see :func:`frac_sum`), so the image's bag may be smaller than the
-        union of the coefficients' bags.  The sum also orients each binomial
-        pole 1 + c X^v on q and x (c = +-1) so that X^v lies above 1, but
-        here that changes no factor: the poles x_i - x_j of D(u) and D(1)
-        keep their form, and B_m's coefficients are stored in lowest terms
-        (:meth:`Frac.lowest`), whose pieces are already oriented.  The
-        orientation acts in the B_m build and in the graded q-binomial sums,
-        whose terms carry both orientations of a pole.  The m-basis columns
-        of D_1 and D(u) do not come through here (:func:`d1_column`).
+        union of the coefficients' bags.  It also orients each binomial pole
+        1 + c X^v on q and x (c = +-1) so that X^v lies above 1; that changes
+        no factor of B_m's coefficients, which are in lowest terms
+        (:meth:`Frac.lowest`), and acts only in the B_m build and the graded
+        q-binomial sums.  Verdicts reach it only through :func:`certified_column`.
         """
         f = as_frac(self.u, f)
         terms = []
@@ -88,26 +81,25 @@ def cross_term(u: VarUniverse, K, others):
     return num.scale(sign), bag
 
 
-@lru_cache(maxsize=None)
+def _u_power(u: VarUniverse, k: int = 1) -> dict:
+    """{"u": k}, or {} on a universe without u: there every D(u) is built at u = 1."""
+    return {"u": k} if "u" in u.names else {}
+
+
 def macdonald_d(u: VarUniverse) -> QDiffOp:
     """The generating operator D(u;q,t) = sum_r (-u)^r D_r over 2^n subsets.
 
     On a universe without a u variable the specialization u = 1 is built.
-    Memoized per universe; the operator and its coefficient dict are shared,
-    and never mutated.
+    Only :func:`determinantal_agreement_check` builds it, as a cross-check.
     """
     n = u.n_x
-    with_u = "u" in u.names
     coeffs = {}
     for bits in itertools.product((0, 1), repeat=n):
         K = [i for i in range(n) if bits[i]]
         others = [j for j in range(n) if not bits[j]]
         k = len(K)
         num, bag = cross_term(u, K, others)
-        pref = {"t": k * (k - 1) // 2}
-        if with_u:
-            pref["u"] = k
-        num = num.mono_mul((-1) ** k, pref)
+        num = num.mono_mul((-1) ** k, {"t": k * (k - 1) // 2, **_u_power(u, k)})
         coeffs[bits] = Frac(num, bag)
     return QDiffOp(u, coeffs)
 
@@ -240,9 +232,9 @@ def d1_eigenvalue(u: VarUniverse, mu: Partition) -> MPoly:
 
 
 def eigenvalue_u(u: VarUniverse, lam: Partition) -> MPoly:
-    """prod_i (1 - u q^{lam_i} t^{n-i}), the D(u) eigenvalue on P_lam."""
+    """prod_i (1 - u q^{lam_i} t^{n-i}), the D(u) eigenvalue on P_lam (u = 1 without u)."""
     n = u.n_x
-    return mp_prod(u, (u.one() - u.mono(1, {"u": 1, "q": m, "t": n - i})
+    return mp_prod(u, (u.one() - u.mono(1, {**_u_power(u), "q": m, "t": n - i})
                        for i, m in enumerate(lam.padded(n), start=1)))
 
 
@@ -303,7 +295,7 @@ def _d1_symbol(u: VarUniverse, kappa: tuple) -> MPoly:
 def _d_u_symbol(u: VarUniverse, kappa: tuple) -> MPoly:
     """prod_i (1 - u t^{n-i} q^{kappa_i}), the factor D(u) puts on x^{kappa+delta}."""
     n = len(kappa)
-    return mp_prod(u, (u.one() - u.mono(1, {"u": 1, "q": k, "t": n - 1 - i})
+    return mp_prod(u, (u.one() - u.mono(1, {**_u_power(u), "q": k, "t": n - 1 - i})
                        for i, k in enumerate(kappa)))
 
 
@@ -316,7 +308,7 @@ def _alternant_column(u: VarUniverse, name: str, mu: Partition, symbol,
     kappa + delta repeats an entry, since its alternant vanishes.  The
     symbols are summed per lam and combined with :func:`schur_column`.  The
     column must lie in weight |mu| below mu (:func:`_check_below`), and its
-    entry at mu must be ``eigenvalue``; AssertionError otherwise.
+    entry at mu (0 if absent) must be ``eigenvalue``; AssertionError otherwise.
     """
     n = u.n_x
     delta = range(n - 1, -1, -1)
@@ -331,7 +323,7 @@ def _alternant_column(u: VarUniverse, name: str, mu: Partition, symbol,
     coords = {lam: mp_sum(u, s) for lam, s in coords.items()}
     col = _check_below(name, mu, mu, combine_columns(
         u, coords, lambda lam: schur_column(lam, n), {}))
-    if col.get(mu) != eigenvalue:
+    if col.get(mu, u.zero()) != eigenvalue:
         raise AssertionError("%s diagonal entry is not the eigenvalue" % name)
     return col
 
@@ -422,6 +414,25 @@ def d_u_column(mu: Partition, n: int) -> dict:
     return _alternant_column(uu, "D(u)", mu, _d_u_symbol, eigenvalue_u(uu, mu))
 
 
+@memo_per_partition
+def lowering_column(kappa: Partition, m: int) -> dict:
+    """D(1;q,t) m_kappa / (x1..xm) in the m basis of m variables: {rho: coefficient}.
+
+    :func:`d_u_column` at u = 1, whose diagonal entry prod_i (1 - q^{kappa_i}
+    t^{m-i}) vanishes unless kappa has m parts: the image lies in e_m Lambda_m,
+    so every row must have m parts (AssertionError otherwise) and comes back
+    as rho - 1^m.  Under q <-> t, x <-> y this is L = D_y(1;t,q)/(y1..ym) on
+    the m basis of y.  Memoized per (kappa, m); the cached dict is never mutated.
+    """
+    u = universe(m)
+    col = _alternant_column(u, "D(1)", kappa, _d_u_symbol, eigenvalue_u(u, kappa))
+    for rho in col:
+        if rho.length() < m:
+            raise AssertionError("D(1) m_(%s) has m_(%s), which has fewer than %d parts"
+                                 % (kappa.to_string(), rho.to_string(), m))
+    return {Partition(p - 1 for p in rho): c for rho, c in col.items()}
+
+
 def combine_columns(u: VarUniverse, coords: dict, column, minus: dict) -> dict:
     """sum_mu coords[mu] column(mu) - minus in the m basis, as {nu: polynomial}.
 
@@ -487,45 +498,23 @@ def cauchy_diff(n: int, m: int) -> Frac:
     return frac_sum(u, terms) - lhs
 
 
-def dual_lowering(f) -> Frac:
-    """(1/(y1..ym)) D_y(1;t,q) f over every y variable of f's universe.
-
-    D_y(1;t,q) is D(1;q,t) seen through the renaming q <-> t, x <-> y, so f
-    is carried into the dual universe, D(1;q,t) acts there on x, and the
-    image is carried back.  The division by y1*..*ym happens on the dual
-    side, where those variables are the Laurent x1..xm: the image is
-    divisible by that monomial, and its bag factors x_i - x_j are prime to
-    it.  Precondition: f has no negative q or x exponent, since those become
-    t and y exponents; ``convert`` raises ValueError otherwise, and so it
-    would for a y exponent left negative by the division.
-    """
-    u = f.u
-    f = as_frac(u, f)
-    if not u.n_y:
-        return f
-    rename = _duality(u.n_x, u.n_y)
-    dual = universe(u.n_y, u.n_x)
-    img = macdonald_d(dual).apply(f.convert(dual, rename))
-    lowered = img.num.mono_mul(1, {"x%d" % j: -1 for j in range(1, u.n_y + 1)})
-    return Frac(lowered, img.bag).convert(u, {v: k for k, v in rename.items()})
-
-
 def lowering_diff(mu: Partition, m: int) -> Frac:
-    """Difference for the row-lowering action of D_y(1;t,q)/(y1..ym).
+    """Difference for the row-lowering action of L = D_y(1;t,q)/(y1..ym).
 
-    On P_mu(y;t,q) the operator strips a full column when mu has m rows and
-    kills the polynomial otherwise.
+    L strips a full column off P_mu(y;t,q) when mu has m rows and kills it
+    otherwise.  Checked under q <-> t, x <-> y on J_mu as :func:`eigen_diff` is:
+    J_mu through :func:`lowering_column`, minus at full length prod_i (1 - t^{m-i}
+    q^{mu_i}) (1 - q^{mu_i-1} t^{m-i+1}) J_{mu-1^m}, the second factor c_mu / c_{mu-1^m}.
     """
     mu = Partition(mu)
     if mu.length() > m:
         raise ValueError("mu must have at most m rows")
-    u = universe(1, m)
-    lowered = dual_lowering(_p_on_y_side(mu, m, u))
+    u = universe(m)
+    minus = {}
     if mu.length() == m:
-        stripped = Partition(p - 1 for p in mu)
-        scalar = mp_prod(u, (u.one() - u.mono(1, {"q": m - i, "t": mu[i - 1]})
-                             for i in range(1, m + 1)))
-        rhs = _p_on_y_side(stripped, m, u) * scalar
-    else:
-        rhs = Frac(u.zero())
-    return lowered - rhs
+        scalar = mp_prod(u, ((u.one() - u.mono(1, {"q": p, "t": m - i}))
+                             * (u.one() - u.mono(1, {"q": p - 1, "t": m - i + 1}))
+                             for i, p in enumerate(mu, start=1)))
+        minus = {nu: scalar * c for nu, c in macdonald_j(Partition(p - 1 for p in mu), m).items()}
+    return Frac(from_monomial_basis(u, combine_columns(
+        u, macdonald_j(mu, m), lambda kappa: lowering_column(kappa, m), minus)))

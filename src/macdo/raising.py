@@ -5,13 +5,13 @@ phi_alpha  from closed forms: the block operators phi_alpha (signed q-power
 times the generalized q-binomial coefficient) and the block coefficients
 b_alpha (a beta-sum of Pochhammer ratios).  Two independent oracles shadow
 these closed forms: the elimination recurrence rebuilds phi level by level,
-and an interpolation evaluation of the dual-lowered Cauchy kernel
-(1/(y1..ym)) D_y(1;t,q) prod (1+x_i y_j) rebuilds b.  Verification works
-on the monomial basis: B_m m_mu is applied once per (m, mu, n) and certified
-as a polynomial column in Z[q,t] by the certificate D_1 and D(u) share.
-B_m acts only through those columns: the raising property and the iterated
-build combine them with the integral forms' coordinates, and the kernel
-identity with the kernel's coordinates e_lam(y), against their lowerings.
+and an interpolation evaluation of the lowered Cauchy kernel
+(1/(y1..ym)) D_y(1;t,q) prod (1+x_i y_j) rebuilds b.  B_m m_mu is applied
+once per (m, mu, n) and certified as a polynomial column in Z[q,t]
+(:func:`certified_column`), and B_m acts only through those columns: the
+raising property and the iterated build combine them with the integral
+forms' coordinates, and the kernel identity with the kernel's coordinates
+e_lam(y), against their lowerings read off the alternant (:func:`kernel_rows`).
 
 B_m commutes with permuting x, so it is built once per S_n orbit: b_alpha
 and the sum at T^beta are formed only for weakly decreasing alpha and beta,
@@ -26,8 +26,8 @@ from functools import lru_cache
 from math import comb
 
 from .algebra import Frac, MPoly, VarUniverse, cauchy_kernel, frac_sum, universe
-from .macdonald import (QDiffOp, certified_column, combine_columns, cross_term,
-                        dual_lowering, expand_in_monomial_basis, from_monomial_basis,
+from .macdonald import (QDiffOp, _duality, certified_column, combine_columns, cross_term,
+                        expand_in_monomial_basis, from_monomial_basis, lowering_column,
                         macdonald_j, macdonald_p)
 from .partitions import (Partition, box_below, memo_per_partition, mi_leq,
                          mi_sub, mi_weight, multi_indices_upto, weak_compositions)
@@ -340,11 +340,20 @@ def kernel_rows(m: int, n: int) -> tuple:
 
     Returns ({lam: e_lam(y)}, {lam: L e_lam(y) != 0}), memoized per (m, n): the kernel
     is sum_lam m_lam(x) e_lam(y) over lam_1 <= m (Macdonald, ch. I), certified by
-    :func:`expand_in_monomial_basis`; L acts on y only, and ``as_poly`` certifies each row.
+    :func:`expand_in_monomial_basis`.  L acts on y only: under q <-> t, x <-> y, each
+    e_lam's certified m-coordinates meet :func:`lowering_column`, multiplied out and
+    renamed back (at m = 0 the rows are the coordinates).
     """
-    coords = expand_in_monomial_basis(cauchy_kernel(universe(n, m)))
-    lowered = ((lam, dual_lowering(e).as_poly()) for lam, e in coords.items())
-    return coords, {lam: r for lam, r in lowered if not r.is_zero()}
+    uxy = universe(n, m)
+    coords = expand_in_monomial_basis(cauchy_kernel(uxy))
+    if not m:
+        return coords, coords
+    ux = universe(m)
+    rows = ((lam, from_monomial_basis(ux, combine_columns(
+        ux, expand_in_monomial_basis(e.convert(ux, _duality(0, m))),
+        lambda kappa: lowering_column(kappa, m), {})).convert(uxy, _duality(m, 0)))
+        for lam, e in coords.items())
+    return coords, {lam: r for lam, r in rows if not r.is_zero()}
 
 
 def _on_kernel(m: int, n: int, minus: dict) -> dict:

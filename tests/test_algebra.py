@@ -10,7 +10,6 @@ import macdo.algebra as algebra
 from macdo.algebra import (Frac, MPoly, NotDivisible, UniverseMismatch,
                            frac_sum, mp_prod, mp_sum, qpoch, qpoch_factors,
                            try_div, universe, universe_of_names)
-from macdo.macdonald import dual_lowering
 from macdo.serialize import poly_from_obj, poly_to_obj
 
 
@@ -192,8 +191,6 @@ def test_convert_keeps_the_exponent_rule():
         uxy.mono(1, {"q": -1}).convert(uxy, duality)
     with pytest.raises(ValueError):
         uxy.mono(1, {"x1": -1}).convert(uxy, duality)
-    with pytest.raises(ValueError):
-        dual_lowering(uxy.mono(1, {"q": -1, "y1": 1}))
 
 
 def test_convert_needs_every_used_variable_in_the_target():

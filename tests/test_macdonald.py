@@ -8,10 +8,11 @@ import pytest
 from macdo import macdonald as mac
 from macdo.algebra import (Frac, NotDivisible, cauchy_kernel, frac_sum, mp_prod, mp_sum,
                            try_div, universe)
-from macdo.macdonald import (QDiffOp, cauchy_diff, certified_column, d1_column, d1_eigenvalue,
-                             d_u_column, determinantal_agreement_check, dual_lowering,
-                             eigen_diff, eigenvalue_u, expand_in_monomial_basis,
-                             from_monomial_basis, integral_form_scalar, is_symmetric_frac,
+from macdo.macdonald import (QDiffOp, cauchy_diff, certified_column, combine_columns,
+                             d1_column, d1_eigenvalue, d_u_column,
+                             determinantal_agreement_check, eigen_diff, eigenvalue_u,
+                             expand_in_monomial_basis, from_monomial_basis,
+                             integral_form_scalar, is_symmetric_frac, lowering_column,
                              lowering_diff, macdonald_d, macdonald_d_det, macdonald_j,
                              macdonald_p, monomial_symmetric, operators_agree, schur_column)
 from macdo.partitions import Partition, memo_per_partition, partitions_of
@@ -286,36 +287,25 @@ def _same_poly(a, b):
     return a.u is b.u and list(a.terms.items()) == list(b.terms.items())
 
 
-def _same_op(a, b):
-    """a and b carry the same shifts in the same order, field for field."""
-    return a.u is b.u and list(a.coeffs) == list(b.coeffs) and all(
-        _same_poly(c.num, b.coeffs[g].num) and c.bag == b.coeffs[g].bag
-        for g, c in a.coeffs.items())
-
-
 MEMO_UNIVERSES = [universe(2), universe(3), universe(2, u=True), universe(3, u=True),
                   universe(2, 2), universe(2, 3), universe(1, 2, u=True)]
 
 
 @pytest.mark.parametrize("u", MEMO_UNIVERSES, ids=repr)
 def test_operator_and_kernel_tables_hand_out_the_uncached_build(u):
-    op = macdonald_d(u)
-    assert _same_op(op, macdonald_d.__wrapped__(u))
-    assert macdonald_d(u) is op
     kernel = cauchy_kernel(u)
     assert _same_poly(kernel, cauchy_kernel.__wrapped__(u))
     assert cauchy_kernel(u) is kernel
     for lam in partitions_of(4, max_len=u.n_x):
-        col = schur_column(lam, u.n_x)
-        assert col == schur_column.__wrapped__(lam, u.n_x)
-        assert schur_column(lam, u.n_x) is col
+        for table in (schur_column, lowering_column):
+            col = table(lam, u.n_x)
+            assert col == table.__wrapped__(lam, u.n_x)
+            assert table(lam, u.n_x) is col
 
 
 def test_a_perturbed_operator_leaves_the_cached_one_intact():
     # runs after test_triangular_columns_refuse_a_broken_image, whose broken
     # Schur table copies the cached s_(1,1) column and edits the copy
-    u = universe(2, u=True)
-    assert _same_op(macdonald_d(u), macdonald_d.__wrapped__(u))
     assert schur_column(Partition((1, 1)), 2) == {Partition((1, 1)): 1}
 
 
@@ -337,7 +327,6 @@ def test_eigen_checks_build_no_subset_operator(monkeypatch):
     # eigen checks and the J solves under them build no subset operator
     for name in ("d_u_column", "d1_column", "macdonald_j"):
         monkeypatch.setattr(mac, name, memo_per_partition(getattr(mac, name).__wrapped__))
-    macdonald_d.cache_clear()
     calls = _count_cross_terms(monkeypatch)
     for d in range(4):
         for lam in partitions_of(d, max_len=3):
@@ -345,29 +334,57 @@ def test_eigen_checks_build_no_subset_operator(monkeypatch):
     assert calls == Counter()
 
 
-def test_kernel_rows_build_d_of_1_once(monkeypatch):
-    # every lowered row of (2, 3) reads the one D(1) on the dual universe
-    # universe(2, 3): 4 subsets, built once and not once per row
+def test_kernel_rows_build_no_subset_operator(monkeypatch):
+    # the lowered rows of (2, 3) are read off the alternant columns of D(1)
+    # on two variables, so building them from fresh tables builds no subset
+    # operator
     kernel_rows.cache_clear()
-    macdonald_d.cache_clear()
+    monkeypatch.setattr("macdo.raising.lowering_column",
+                        memo_per_partition(lowering_column.__wrapped__))
+    monkeypatch.setattr(mac, "schur_column", memo_per_partition(schur_column.__wrapped__))
     calls = _count_cross_terms(monkeypatch)
     assert len(kernel_rows(2, 3)[1]) > 1
-    assert calls == Counter({universe(2, 3): 4})
+    assert calls == Counter()
 
 
 def test_alternant_columns_equal_the_subset_form_images():
     # oracle: each column read off the alternant equals, as a value, the
-    # certified image of m_mu under the subset-form operator
+    # certified image of m_mu under the subset-form operator; the lowering
+    # column is D(1;q,t)'s image shifted down by 1^n
     cases = 0
     for n in (1, 2, 3, 4):
-        u, uu = universe(n), universe(n, u=True)
+        d_1, d_of_u = _d1_operator(universe(n)), macdonald_d(universe(n, u=True))
+        d_of_1 = macdonald_d(universe(n))
         for d in range(7):
             for mu in partitions_of(d, max_len=n):
-                assert d1_column(mu, n) == certified_column(_d1_operator(u), "D_1", mu, mu)
+                assert d1_column(mu, n) == certified_column(d_1, "D_1", mu, mu)
                 if d <= 5:
-                    assert d_u_column(mu, n) == certified_column(macdonald_d(uu), "D(u)", mu, mu)
+                    assert d_u_column(mu, n) == certified_column(d_of_u, "D(u)", mu, mu)
+                image = certified_column(d_of_1, "D(1)", mu, mu)
+                assert all(rho.length() == n for rho in image)
+                assert lowering_column(mu, n) == {
+                    Partition(p - 1 for p in rho): c for rho, c in image.items()}
                 cases += 1
     assert cases == 73
+
+
+def test_a_lowering_column_refuses_a_short_row(monkeypatch):
+    # negative control: D(1) m_(3,1) on m = 3 is a multiple of s_(2,1,1); a
+    # Schur table whose s_(2,1,1) gains m_(2,2), below (3,1) and off the
+    # diagonal, puts a row with fewer than m parts into the image
+    real = mac.schur_column
+
+    def broken(lam, n):
+        col = dict(real(lam, n))
+        if (lam, n) == (Partition((2, 1, 1)), 3):
+            col[Partition((2, 2))] = col.get(Partition((2, 2)), 0) + 1
+        return col
+
+    monkeypatch.setattr(mac, "schur_column", broken)
+    with pytest.raises(AssertionError, match="fewer than 3 parts"):
+        lowering_column.__wrapped__(Partition((3, 1)), 3)
+    monkeypatch.undo()  # the true table passes
+    assert set(lowering_column.__wrapped__(Partition((3, 1)), 3)) == {Partition((1,))}
 
 
 def _ssyt_contents(lam, n):
@@ -419,12 +436,14 @@ def test_schur_column_refuses_a_bialternant_short_of_a_vandermonde_factor(monkey
                                        for i, k in enumerate(kappa)))),
     ("D(u)", lambda u, kappa: mp_prod(u, (u.one() - u.mono(1, {"u": 1, "q": k, "t": i})
                                           for i, k in enumerate(kappa)))),
-], ids=["D_1", "D(u)"])
+    ("D(1)", lambda u, kappa: mp_prod(u, (u.one() - u.mono(1, {"q": k, "t": i})
+                                          for i, k in enumerate(kappa)))),
+], ids=["D_1", "D(u)", "D(1)"])
 def test_a_symbol_with_reversed_t_powers_fails_the_diagonal_check(monkeypatch, operator,
                                                                    symbol):
     # negative control: t^(i-1) in place of t^(n-i) in the symbol at x^kappa
-    name, column = (("_d1_symbol", d1_column) if operator == "D_1"
-                    else ("_d_u_symbol", d_u_column))
+    name, column = {"D_1": ("_d1_symbol", d1_column), "D(u)": ("_d_u_symbol", d_u_column),
+                    "D(1)": ("_d_u_symbol", lowering_column)}[operator]
     monkeypatch.setattr(mac, name, symbol)
     with pytest.raises(AssertionError, match="diagonal entry is not the eigenvalue"):
         column.__wrapped__(Partition((2, 1)), 3)
@@ -447,14 +466,33 @@ def test_lowering_examples():
         lowering_diff(Partition((1, 1, 1)), 2)
 
 
+def test_lowering_diff_holds_past_the_suite():
+    # the cauchy suite reaches m <= 2; m = 5 is past DET_MAX_N, where no
+    # subset form is expanded
+    cases = 0
+    for m in (3, 4, 5):
+        for d in range(7):
+            for mu in partitions_of(d, max_len=m):
+                assert lowering_diff(mu, m).is_zero(), (mu, m)
+                cases += 1
+    assert cases == 79
 
-def test_dual_lowering_refuses_a_negative_q_exponent():
-    # q becomes t in the dual universe, where negative exponents are illegal
-    u = universe(1, 2)
-    with pytest.raises(ValueError):
-        dual_lowering(u.mono(1, {"q": -1, "y1": 1}))
-    with pytest.raises(ValueError):
-        dual_lowering(Frac(u.y(1), {u.one() - u.mono(1, {"q": -1}): 1}))
+
+@pytest.mark.parametrize("mu", [(1, 1, 1), (2, 1, 1), (3, 2, 1)], ids=repr)
+def test_the_lowering_contract_needs_the_integral_form_ratio(mu):
+    # negative control: on J the stripped side carries c_mu / c_(mu - 1^m);
+    # the contract with only the P scalar prod_i (1 - t^(m-i) q^(mu_i))
+    # leaves a nonzero difference
+    mu, m = Partition(mu), 3
+    u = universe(m)
+    p_scalar = mp_prod(u, (u.one() - u.mono(1, {"q": p, "t": m - i})
+                           for i, p in enumerate(mu, start=1)))
+    stripped = macdonald_j(Partition(p - 1 for p in mu), m)
+    residual = combine_columns(u, macdonald_j(mu, m), lambda kappa: lowering_column(kappa, m),
+                               {nu: p_scalar * c for nu, c in stripped.items()})
+    assert residual
+    assert lowering_diff(mu, m).is_zero()
+
 
 def _cancelling_sum_cases():
     """(operator, argument) pairs whose images QDiffOp.apply sums with cancel."""
@@ -468,8 +506,8 @@ def _cancelling_sum_cases():
         for mu in partitions_of(d, max_len=3):
             yield _d1_operator(u3), monomial_symmetric(u3, mu)
     uxy = universe(2, 2)
-    # D(1;q,t) on the 2x2 kernel: D_y(1;t,q) of dual_lowering after the q <-> t,
-    # x <-> y renaming, which maps this kernel to itself
+    # D(1;q,t) on the 2x2 kernel: D_y(1;t,q) of the subset-form lowering after
+    # the q <-> t, x <-> y renaming, which maps this kernel to itself
     yield macdonald_d(uxy), cauchy_kernel(uxy)
 
 
