@@ -210,20 +210,6 @@ def expand_in_monomial_basis(p: MPoly) -> dict:
     return out
 
 
-def x_transposition_rename(i: int, j: int) -> dict:
-    return {"x%d" % i: "x%d" % j, "x%d" % j: "x%d" % i}
-
-
-def is_symmetric_frac(v: Frac) -> bool:
-    """Invariance of a fraction under all adjacent x transpositions."""
-    u = v.u
-    for i in range(1, u.n_x):
-        transposed = v.convert(u, x_transposition_rename(i, i + 1))
-        if not v.eq(transposed):
-            return False
-    return True
-
-
 def d1_eigenvalue(u: VarUniverse, mu: Partition) -> MPoly:
     """sum_i q^{mu_i} t^{n-i}, n the number of x variables of the universe."""
     n = u.n_x
@@ -477,23 +463,19 @@ def _duality(n_x: int, n_y: int) -> dict:
     return rename
 
 
-def _p_on_y_side(lam: Partition, m: int, target: VarUniverse) -> Frac:
-    """P_lam(y; t, q): computed in x variables, then q<->t and x->y."""
-    return _p_in_x(lam, m).convert(target, _duality(m, 0))
-
-
 def cauchy_diff(n: int, m: int) -> Frac:
     """Difference of the two sides of the dual Cauchy product formula.
 
     prod (1+x_i y_j) against sum over partitions in the n x m box of
-    P_lam(x;q,t) P_lam'(y;t,q).
+    P_lam(x;q,t) P_lam'(y;t,q), the second P_lam'(x;q,t) on m variables
+    renamed q <-> t, x -> y.
     """
     u = universe(n, m)
     lhs = cauchy_kernel(u)
     terms = []
     for lam in partitions_in_box(n, m):
         px = _p_in_x(lam, n).convert(u)
-        py = _p_on_y_side(lam.conjugate(), m, u)
+        py = _p_in_x(lam.conjugate(), m).convert(u, _duality(m, 0))
         terms.append(px * py)
     return frac_sum(u, terms) - lhs
 

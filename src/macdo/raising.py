@@ -26,9 +26,9 @@ from functools import lru_cache
 from math import comb
 
 from .algebra import Frac, MPoly, VarUniverse, cauchy_kernel, frac_sum, universe
-from .macdonald import (QDiffOp, _duality, certified_column, combine_columns, cross_term,
-                        expand_in_monomial_basis, from_monomial_basis, lowering_column,
-                        macdonald_j, macdonald_p)
+from .macdonald import (QDiffOp, _c_factors, _duality, certified_column, combine_columns,
+                        cross_term, expand_in_monomial_basis, from_monomial_basis,
+                        lowering_column, macdonald_j)
 from .partitions import (Partition, box_below, memo_per_partition, mi_leq,
                          mi_sub, mi_weight, multi_indices_upto, weak_compositions)
 from .qbinomial import double_poch_factors, interp_assignment, qbinom_x
@@ -415,29 +415,22 @@ def order_bound_check(op: QDiffOp, m: int) -> bool:
 # -- the Hall-Littlewood specialization ----------------------------------------------
 
 
-def limit_q0(fr: Frac) -> Frac:
-    """Exact limit q -> 0 of a fraction regular there.
-
-    Pulls the monomial q-content out of numerator and denominator (minimum
-    exponent, no GCD) and evaluates; raises on a genuine pole.
-    """
-    u = fr.u
-    if fr.num.is_zero():
-        return Frac(u.zero())
-    num, den = fr.num, fr.den
-    a, b = num.min_exp("q"), den.min_exp("q")
-    if a < b:
-        raise ZeroDivisionError("pole at q = 0")
-    if a > b:
-        return Frac(u.zero())
-    return Frac.over(num.coeff_of({"q": a}), den.coeff_of({"q": b}))
-
-
 @memo_per_partition
 def hall_littlewood_p(lam, n: int) -> MPoly:
-    """P_lam(x; 0, t) from P's m-coordinates at q -> 0, each certified in Z[t]; memoized."""
-    return from_monomial_basis(universe(n), {mu: limit_q0(c).as_poly()
-                                             for mu, c in macdonald_p(lam, n).items()})
+    """P_lam(x; 0, t) = J_lam(x; 0, t) / c_lam(0, t), multiplied out in x; memoized.
+
+    J's coordinates lie in Z[q, t] (AssertionError on a negative q exponent),
+    so each one's q-free part is its value at q = 0, and c_lam(0, t) is the
+    product of the arm-0 factors 1 - t^(leg+1) (Macdonald, ch. III and VI).
+    Each coordinate is divided by them exactly (``as_poly`` raises
+    NotDivisible otherwise).
+    """
+    u, j = universe(n), macdonald_j(lam, n)
+    if any(c.min_exp("q") < 0 for c in j.values()):
+        raise AssertionError("J_(%s) has a negative power of q" % lam.to_string())
+    bag = [f.coeff_of({"q": 0}) for f in _c_factors(u, lam)]
+    return from_monomial_basis(u, {
+        mu: Frac.from_factors(u, [c.coeff_of({"q": 0})], bag).as_poly() for mu, c in j.items()})
 
 
 def hall_littlewood_apply(m: int, f: MPoly) -> Frac:
@@ -457,27 +450,19 @@ def hall_littlewood_apply(m: int, f: MPoly) -> Frac:
     return frac_sum(u, terms)
 
 
-def hall_littlewood_raising_scalar(m: int, lam, n: int):
-    """Fit the proportionality scalar of the raised Hall-Littlewood image.
+def hall_littlewood_raising_check(m: int, lam, n: int) -> bool:
+    """The operator sends P_lam(0,t) to a nonzero Q(t) multiple of P_(m,lam)(0,t).
 
-    Returns (image_poly, target_poly, scalar) for the length < n branch and
-    (image, None, None) at full length where the image must vanish.
+    At full length (lam with n rows) the image must vanish.  Otherwise it
+    must be a polynomial (``as_poly`` raises NotDivisible otherwise); the
+    scalar is its coefficient at the leading monomial x^(m,lam), which must
+    be nonzero, and the image must equal that scalar times P_(m,lam)(0,t).
     """
     lam = Partition(lam)
     img = hall_littlewood_apply(m, hall_littlewood_p(lam, n))
     if lam.length() == n:
-        return img, None, None
-    target = hall_littlewood_p(lam.prepend(m), n)
-    poly = img.as_poly()
-    lead = {"x%d" % i: e for i, e in enumerate(lam.prepend(m).padded(n), start=1)}
-    scalar = poly.coeff_of(lead)
-    return Frac(poly), target, scalar
-
-
-def hall_littlewood_raising_check(m: int, lam, n: int) -> bool:
-    """The operator sends P_lam(0,t) to a nonzero Q(t) multiple of the raised P."""
-    lam = Partition(lam)
-    img, target, scalar = hall_littlewood_raising_scalar(m, lam, n)
-    if target is None:
         return img.is_zero()
-    return (not scalar.is_zero()) and img.eq(Frac(target * scalar))
+    top = lam.prepend(m)
+    poly = img.as_poly()
+    scalar = poly.coeff_of({"x%d" % i: e for i, e in enumerate(top.padded(n), start=1)})
+    return not scalar.is_zero() and poly == hall_littlewood_p(top, n) * scalar

@@ -231,6 +231,7 @@ def suite_cauchy(max_n: int = 3, max_weight: int = 4) -> list:
     for m in (1, 2):
         for d in range(max_weight + 1):
             for mu in partitions_of(d, max_len=m):
+                # named for L on the dual side; a new name would change report bytes
                 cases.append(_diff_case(
                     "cauchy", "dual_lowering", {"mu": mu.to_string(), "m": m},
                     lambda mu=mu, m=m: mac.lowering_diff(mu, m)))

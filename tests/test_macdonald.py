@@ -12,7 +12,7 @@ from macdo.macdonald import (QDiffOp, cauchy_diff, certified_column, combine_col
                              d1_column, d1_eigenvalue, d_u_column,
                              determinantal_agreement_check, eigen_diff, eigenvalue_u,
                              expand_in_monomial_basis, from_monomial_basis,
-                             integral_form_scalar, is_symmetric_frac, lowering_column,
+                             integral_form_scalar, lowering_column,
                              lowering_diff, macdonald_d, macdonald_d_det, macdonald_j,
                              macdonald_p, monomial_symmetric, operators_agree, schur_column)
 from macdo.partitions import Partition, memo_per_partition, partitions_of
@@ -109,10 +109,19 @@ def test_macdonald_p_needs_enough_variables():
         macdonald_p(Partition((1, 1, 1)), 2)
 
 
+def _is_symmetric_frac(v):
+    """Invariance of a fraction under every adjacent transposition of x."""
+    u = v.u
+    return all(v.eq(v.convert(u, {"x%d" % i: "x%d" % (i + 1), "x%d" % (i + 1): "x%d" % i}))
+               for i in range(1, u.n_x))
+
+
 def test_p_is_symmetric():
     for lam in [(2,), (2, 1), (3, 1)]:
-        assert is_symmetric_frac(mac._p_in_x(Partition(lam), 2))
-    assert is_symmetric_frac(mac._p_in_x(Partition((2, 1)), 3))
+        assert _is_symmetric_frac(mac._p_in_x(Partition(lam), 2))
+    assert _is_symmetric_frac(mac._p_in_x(Partition((2, 1)), 3))
+    # negative control: x1 alone is not symmetric in two variables
+    assert not _is_symmetric_frac(Frac(universe(2).x(1)))
 
 
 def test_p_at_q_equals_t_is_monic_and_symmetric():
@@ -126,7 +135,7 @@ def test_p_at_q_equals_t_is_monic_and_symmetric():
         lead = Frac(spec.num.coeff_of(
             {"x%d" % i: e for i, e in enumerate(lam.padded(2), start=1)}), spec.bag)
         assert lead.eq(Frac(u.one()))
-        assert is_symmetric_frac(spec)
+        assert _is_symmetric_frac(spec)
 
 
 def test_integral_form_scalars():

@@ -10,15 +10,14 @@ import macdo.macdonald as mac
 import macdo.raising as raising
 from macdo.algebra import Frac, NotDivisible, as_frac, cauchy_kernel, frac_sum, universe
 from macdo.macdonald import (QDiffOp, _duality, from_monomial_basis, macdonald_d, macdonald_j,
-                             macdonald_p, monomial_symmetric, x_transposition_rename)
+                             macdonald_p, monomial_symmetric)
 from macdo.partitions import Partition, box_below, partitions_of, weak_compositions
 from macdo.qbinomial import qbinom_x
 from macdo.raising import (block_coeff, block_coeff_interp, degree_bound_check,
                            equivariance_check, hall_littlewood_apply,
                            hall_littlewood_p, hall_littlewood_raising_check,
-                           hall_littlewood_raising_scalar, iterated_build_diff,
-                           kernel_rows, key_identity_diff, ladder_f_closed,
-                           ladder_f_paths, ladder_g, ladder_inverse_check, limit_q0,
+                           iterated_build_diff, kernel_rows, key_identity_diff,
+                           ladder_f_closed, ladder_f_paths, ladder_g, ladder_inverse_check,
                            order_bound_check, raising_block, raising_block_entry,
                            raising_block_recurrence, raising_column, raising_diff,
                            recurrence_weight, row_raising_op)
@@ -546,7 +545,7 @@ def test_transposed_raising_coefficients_reduce_to_the_stored_ones(m, n):
     # unique, so the permuted coefficient reduced again is the stored one
     op = row_raising_op(m, n)
     for i, j in itertools.combinations(range(1, n + 1), 2):
-        ren = x_transposition_rename(i, j)
+        ren = {"x%d" % i: "x%d" % j, "x%d" % j: "x%d" % i}
         for gamma, c in op.coeffs.items():
             sg = list(gamma)
             sg[i - 1], sg[j - 1] = sg[j - 1], sg[i - 1]
@@ -611,16 +610,34 @@ def test_sympy_qbinom_oracle_rejects_a_shifted_numerator():
             (alpha, beta)
 
 
+def _limit_q0(fr):
+    """Exact limit q -> 0 of a fraction regular there, the oracle for hall_littlewood_p.
+
+    Pulls the monomial q-content out of numerator and denominator (minimum
+    exponent, no GCD) and evaluates; raises ZeroDivisionError on a pole.
+    """
+    u = fr.u
+    if fr.num.is_zero():
+        return Frac(u.zero())
+    num, den = fr.num, fr.den
+    a, b = num.min_exp("q"), den.min_exp("q")
+    if a < b:
+        raise ZeroDivisionError("pole at q = 0")
+    if a > b:
+        return Frac(u.zero())
+    return Frac.over(num.coeff_of({"q": a}), den.coeff_of({"q": b}))
+
+
 def test_limit_q0():
     one, q, t = U1.one(), U1.gen("q"), U1.gen("t")
     f = Frac.over((one - t) * (one + q), one - q * t)
-    assert limit_q0(f).eq(Frac(one - t))
+    assert _limit_q0(f).eq(Frac(one - t))
     g = Frac.over(q * (one + t), q * q + q)  # = (1+t)/(1+q), regular at q=0
-    assert limit_q0(g).eq(Frac(one + t))
+    assert _limit_q0(g).eq(Frac(one + t))
     zero_at = Frac.over(q * (one + t), one - t * q)
-    assert limit_q0(zero_at).is_zero()
+    assert _limit_q0(zero_at).is_zero()
     with pytest.raises(ZeroDivisionError):
-        limit_q0(Frac.over(one, q))
+        _limit_q0(Frac.over(one, q))
 
 
 def test_hall_littlewood_p_values():
@@ -634,18 +651,37 @@ def test_hall_littlewood_p_values():
 
 
 def test_hall_littlewood_p_is_the_limit_of_the_whole_x_form():
-    # hall_littlewood_p takes each m-basis coordinate of P to q = 0; the
-    # oracle multiplies P out in x first and takes the limit once
+    # hall_littlewood_p divides J's q-free coordinates by c_lam(0, t); the
+    # oracle multiplies P (J / c_lam in lowest terms) out in x and takes the
+    # limit q -> 0 once, on every lam the hl suite reaches at its desk limits
     cases = 0
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         u = universe(n)
-        for d in range(5):
+        for d in range(9):
             for lam in partitions_of(d, max_len=n):
                 whole = frac_sum(u, [c * monomial_symmetric(u, mu)
                                      for mu, c in macdonald_p(lam, n).items()])
-                assert hall_littlewood_p(lam, n) == limit_q0(whole).as_poly(), (lam, n)
+                assert hall_littlewood_p(lam, n) == _limit_q0(whole).as_poly(), (lam, n)
                 cases += 1
-    assert cases == 25
+    assert cases == 128
+
+
+def test_hall_littlewood_p_refuses_a_broken_integral_form(monkeypatch):
+    # negative controls on the uncached function: a coordinate with q^-1 has
+    # no value at q = 0, and J_(1,1)[(1,1)] + 1 is not divisible by c_(1,1)(0, t)
+    lam, n = Partition((1, 1)), 2
+    j = macdonald_j(lam, n)
+    u = universe(n)
+    monkeypatch.setattr(raising, "macdonald_j", lambda lam_, n_: {
+        mu: c.mono_mul(1, {"q": -1}) if mu == lam else c for mu, c in j.items()})
+    with pytest.raises(AssertionError):
+        hall_littlewood_p.__wrapped__(lam, n)
+    monkeypatch.setattr(raising, "macdonald_j", lambda lam_, n_: {
+        mu: c + u.one() if mu == lam else c for mu, c in j.items()})
+    with pytest.raises(NotDivisible):
+        hall_littlewood_p.__wrapped__(lam, n)
+    monkeypatch.undo()
+    assert hall_littlewood_p.__wrapped__(lam, n) == u.x(1) * u.x(2)
 
 
 def test_hall_littlewood_apply_basic():
@@ -658,14 +694,39 @@ def test_hall_littlewood_apply_basic():
 
 
 def test_hall_littlewood_image_is_multiple_of_p():
-    # applied to 1 the image is a scalar multiple of P_(m)(x;0,t)
+    # applied to P_() = 1 the image is a nonzero scalar multiple of P_(m)(x;0,t)
     for n in (2, 3):
         for m in (1, 2):
             u = universe(n)
-            img, target, scalar = hall_littlewood_raising_scalar(m, Partition(()), n)
-            assert target == hall_littlewood_p(Partition((m,)), n)
+            assert hall_littlewood_p(Partition(()), n) == u.one()
+            img = hall_littlewood_apply(m, u.one()).as_poly()
+            scalar = img.coeff_of({"x1": m})
             assert not scalar.is_zero()
-            assert img.eq(Frac(target * scalar))
+            assert img == hall_littlewood_p(Partition((m,)), n) * scalar
+
+
+def test_hall_littlewood_check_refuses_a_wrong_target(monkeypatch):
+    # negative control: P_(2,1) swapped for P_(3), of the same weight
+    assert hall_littlewood_raising_check(2, Partition((1,)), 2)
+    real = raising.hall_littlewood_p
+    monkeypatch.setattr(raising, "hall_littlewood_p", lambda lam, n: real(
+        Partition((3,)) if Partition(lam) == Partition((2, 1)) else lam, n))
+    assert not hall_littlewood_raising_check(2, Partition((1,)), 2)
+
+
+def test_hall_littlewood_check_refuses_a_nonzero_image_at_full_length(monkeypatch):
+    # negative control: the zero branch fails when the image does not vanish
+    assert hall_littlewood_raising_check(1, Partition((1,)), 1)
+    monkeypatch.setattr(raising, "hall_littlewood_apply", lambda m, f: Frac(f))
+    assert not hall_littlewood_raising_check(1, Partition((1,)), 1)
+
+
+def test_hall_littlewood_check_refuses_a_vanishing_image_below_full_length(monkeypatch):
+    # negative control: off the zero branch the fitted scalar must be nonzero,
+    # though 0 is 0 times P_(m,lam)
+    assert hall_littlewood_raising_check(2, Partition((1,)), 2)
+    monkeypatch.setattr(raising, "hall_littlewood_apply", lambda m, f: Frac(f.u.zero()))
+    assert not hall_littlewood_raising_check(2, Partition((1,)), 2)
 
 
 def test_hall_littlewood_raising_examples():
